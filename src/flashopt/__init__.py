@@ -19,17 +19,14 @@ from .core import (
 )
 from .dominance import (
     FrontPartition,
-    best_individual,
     binary_dominates,
-    domination_score,
     domination_scores,
-    epsilon_dominates,
     front0,
     indicator_dominates,
     indicator_value,
     nondominated_sort,
 )
-from .cart import RegressionTree, TreeParams, fit, predict, tree_size
+from .cart import RegressionTree, TreeParams, fit_arrays, predict_many, tree_size
 from .flash import FlashConfig, run_flash, what_to_evaluate_next
 from .sway import SwayConfig, project, run_sway, two_distant_points
 from .nsga2 import Nsga2Config, crowding_distance, run_nsga2

@@ -10,7 +10,6 @@ threshold, so fitting is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,23 +52,8 @@ class TreeParams:
     max_depth: int | None = None
 
 
-def fit(
-    rows: Sequence[tuple[Sequence[float], float]], params: TreeParams = TreeParams()
-) -> RegressionTree:
-    """Fit a tree on (decision vector, target) pairs."""
-    if not rows:
-        raise ValueError("cannot fit a tree on zero rows")
-    arity = len(rows[0][0])
-    for dec, _ in rows:
-        if len(dec) != arity:
-            raise ValueError("all rows must share one decision arity")
-    x = np.array([list(dec) for dec, _ in rows], dtype=float)
-    y = np.array([t for _, t in rows], dtype=float)
-    return fit_arrays(x, y, params)
-
-
 def fit_arrays(x: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:
-    """Array form of fit: x is n-by-f, y is length n."""
+    """Fit a tree on n decision rows x (n-by-f) and their targets y (length n)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -78,6 +62,9 @@ def fit_arrays(x: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) 
         raise ValueError("cannot fit a tree on zero rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
+    if not np.all(np.isfinite(x)):
+        # A NaN threshold sends every row right, so splitting would never end.
+        raise ValueError("decisions must be finite")
 
     root = TreeNode(n=int(y.size), prediction=float(y.mean()))
     # Iterative expansion; recursion would overflow on tall degenerate trees.
@@ -155,20 +142,8 @@ def _best_split(x, y, idx, params: TreeParams, depth: int):
     return int(feature), float(threshold)
 
 
-def predict(tree: RegressionTree, decisions: Sequence[float]) -> float:
-    """Route one decision vector to its leaf and return the leaf mean."""
-    if len(decisions) != tree.feature_count:
-        raise ValueError(
-            f"decision arity {len(decisions)} != tree arity {tree.feature_count}"
-        )
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if decisions[node.feature] <= node.threshold else node.right
-    return node.prediction
-
-
 def predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Vectorized predict over an n-by-f array."""
+    """Route every row of an n-by-f array to its leaf; return the leaf means."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != tree.feature_count:
         raise ValueError("x must be n-by-feature_count")

@@ -122,6 +122,13 @@ class RunResult:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
+def min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-column (x - lo) / (hi - lo); a zero-span column maps to 0."""
+    span = hi - lo
+    nz = span > 0
+    return np.where(nz, (x - lo) / np.where(nz, span, 1.0), 0.0)
+
+
 class LoadError(ValueError):
     """Raised when a tabular problem file is malformed."""
 
@@ -312,8 +319,8 @@ def load_tabular(path: str | Path) -> Problem:
     """Load a comma-separated measurement table as a TABULAR problem.
 
     One header line; decision columns are unprefixed, objective columns are
-    prefixed '-' (minimize) or '+' (maximize). All cells numeric. Row order
-    defines point ids 0..n-1.
+    prefixed '-' (minimize) or '+' (maximize). All cells finite numbers. Row
+    order defines point ids 0..n-1.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -364,11 +371,15 @@ def load_tabular(path: str | Path) -> Problem:
         parsed: list[float] = []
         for col, cell in enumerate(cells):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise LoadError(
-                    f"{path}:{lineno}: non-numeric cell '{cell}' in column {col + 1}"
-                ) from None
+                    f"{path}:{lineno}: non-numeric or non-finite cell '{cell}' "
+                    f"in column {col + 1}"
+                )
+            parsed.append(value)
         dec = tuple(parsed[i] for i in decision_idx)
         obj = tuple(parsed[i] for i in objective_idx)
         if dec in seen:

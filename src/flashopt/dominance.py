@@ -7,7 +7,9 @@ Two families of comparison are used throughout the toolkit:
 * indicator dominance: the exponential quality indicator
   M(x, y) = sum_j -e^(w_j (x_j - y_j) / n) / n with w_j = -1 for minimized
   and +1 for maximized objectives; x dominates y when M(y, x) > M(x, y).
-  Used to pick a single best individual and to count domination scores.
+  Used to compare sway's poles, to rank flash's predictions and to count
+  domination scores. One kernel, _class_wins, decides it for every pair of
+  a set of vectors; the two-vector predicate is its smallest case.
 
 Objective arguments may be ObjectiveVector instances or plain sequences of
 floats; both are compared against the given schema.
@@ -79,45 +81,22 @@ def indicator_value(x, y, schema: ObjectiveSchema) -> float:
 
 
 def indicator_dominates(x, y, schema: ObjectiveSchema) -> bool:
-    """Strict indicator dominance: M(y, x) > M(x, y).
-
-    Equivalent to comparing indicator_value both ways, but computed as
-    sum(e^delta) > sum(e^-delta) with both sides rescaled by a common
-    factor when the exponents would overflow; rescaling by a positive
-    constant cannot change the comparison.
-    """
+    """Strict indicator dominance: M(y, x) > M(x, y)."""
     xs, ys = _pair(x, y, schema)
-    n = len(schema)
-    deltas = [w * (xv - yv) / n for xv, yv, w in zip(xs, ys, schema.weights)]
-    shift = max(0.0, max(abs(d) for d in deltas) - 700.0)
-    forward = sum(math.exp(d - shift) for d in deltas)
-    backward = sum(math.exp(-d - shift) for d in deltas)
-    return backward < forward
+    return bool(_class_wins([xs, ys], schema)[0, 1])
 
 
-def epsilon_dominates(x, y, eps: float, schema: ObjectiveSchema) -> bool:
-    """True iff x, shifted by eps in each objective's improving direction,
-    is component-wise no worse than y (equality allowed everywhere)."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    xs, ys = _pair(x, y, schema)
-    for xv, yv, sense in zip(xs, ys, schema.senses):
-        if sense is Sense.MIN:
-            if xv - eps > yv:
-                return False
-        else:
-            if xv + eps < yv:
-                return False
-    return True
+def _matrix(vectors: Sequence, schema: ObjectiveSchema) -> np.ndarray:
+    arr = np.array([_values(v) for v in vectors], dtype=float)
+    if arr.shape[1] != len(schema):
+        raise ValueError("objective length mismatch against schema")
+    return arr
 
 
 def oriented_matrix(vectors: Sequence, schema: ObjectiveSchema) -> np.ndarray:
     """Objective rows recast so that smaller is better on every axis."""
-    arr = np.array([_values(v) for v in vectors], dtype=float)
-    if arr.shape[1] != len(schema):
-        raise ValueError("objective length mismatch against schema")
     signs = np.array([1.0 if s is Sense.MIN else -1.0 for s in schema.senses])
-    return arr * signs
+    return _matrix(vectors, schema) * signs
 
 
 def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
@@ -209,25 +188,14 @@ def front0(
     return [points[k] for k in picked]
 
 
-def domination_score(
-    x: EvaluatedPoint, pool: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> int:
-    """How many other pool members x indicator-dominates."""
-    if x not in pool:
-        raise ValueError("x must be a member of the pool")
-    return sum(
-        1 for y in pool if y != x and indicator_dominates(x.objectives, y.objectives, schema)
-    )
-
-
 def domination_scores(
     points: Sequence[EvaluatedPoint], schema: ObjectiveSchema
 ) -> list[int]:
-    """Domination score of every point within the list.
+    """Domination score of every point: how many other points of the list
+    it indicator-dominates.
 
-    Equivalent to calling domination_score per point, but computed over
-    distinct objective vectors (members of one class share a score, and
-    equal vectors never dominate each other).
+    Computed over distinct objective vectors: members of one class share a
+    score, and equal vectors never dominate each other.
     """
     if not points:
         return []
@@ -243,9 +211,11 @@ def domination_scores(
 
 
 def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> np.ndarray:
-    """wins[i, j] iff distinct vector i indicator-dominates vector j.
+    """wins[i, j] iff vector i indicator-dominates vector j.
 
-    Mirrors indicator_dominates, including the per-pair overflow rescale.
+    Computed as sum(e^delta) > sum(e^-delta) with delta = w (x_i - x_j) / m,
+    both sides rescaled by a common factor when the exponents would
+    overflow; rescaling by a positive constant cannot change the comparison.
     Only the forward sums are materialized: the backward sum of pair (i, j)
     is, float for float, the forward sum of (j, i), because delta is
     exactly antisymmetric and the rescale depends on |delta| only.
@@ -261,20 +231,3 @@ def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> n
         shift = np.maximum(0.0, np.abs(delta).max(axis=2) - 700.0)[:, :, None]
         forward[start:stop] = np.exp(delta - shift).sum(axis=2)
     return forward.T < forward
-
-
-def best_individual(
-    points: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> EvaluatedPoint:
-    """The point with the highest domination score, ties to lowest eval_index."""
-    if not points:
-        raise ValueError("cannot pick a best individual from an empty list")
-    scores = domination_scores(points, schema)
-    best_k = 0
-    for k in range(1, len(points)):
-        if scores[k] > scores[best_k] or (
-            scores[k] == scores[best_k]
-            and points[k].eval_index < points[best_k].eval_index
-        ):
-            best_k = k
-    return points[best_k]

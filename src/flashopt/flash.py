@@ -77,7 +77,7 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
             )
             for j in range(len(schema))
         ]
-        pick = _pick_next(cand_matrix, cand_ids, models, schema)
+        pick = what_to_evaluate_next(cand_matrix, cand_ids, models, schema)
         chosen = remaining[pick]
         ev = problem.evaluate(chosen)
         evaluated.append(ev)
@@ -96,37 +96,23 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
 
 
 def what_to_evaluate_next(
-    candidates: Sequence[DecisionPoint],
-    models: Sequence[cart.RegressionTree],
-    schema: ObjectiveSchema,
-) -> DecisionPoint:
-    """Choose the unevaluated candidate whose predicted objectives win.
-
-    Predictions from one tree per objective form pseudo-points; the
-    candidate returned is the indicator-best member of their non-dominated
-    front, ties broken by the lowest candidate id.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no candidates to choose from")
-    if len(models) != len(schema):
-        raise ValueError("need exactly one model per objective")
-    matrix = np.array([c.decisions for c in candidates], dtype=float)
-    ids = [c.id for c in candidates]
-    return candidates[_pick_next(matrix, ids, models, schema)]
-
-
-def _pick_next(
     cand_matrix: np.ndarray,
     cand_ids: Sequence[int],
     models: Sequence[cart.RegressionTree],
     schema: ObjectiveSchema,
 ) -> int:
-    """Index of the winning candidate row.
+    """Row index of the unevaluated candidate whose predicted objectives win.
 
-    Works on distinct predicted vectors: duplicates share front membership
-    and domination score, so scoring once per class is exact.
+    Predictions from one tree per objective form pseudo-points; the row
+    returned is the indicator-best member of their non-dominated front,
+    ties broken by the lowest candidate id. Works on distinct predicted
+    vectors: duplicates share front membership and domination score, so
+    scoring once per class is exact.
     """
+    if len(cand_ids) == 0:
+        raise ValueError("no candidates to choose from")
+    if len(models) != len(schema):
+        raise ValueError("need exactly one model per objective")
     preds = np.column_stack([cart.predict_many(m, cand_matrix) for m in models])
     classes, inverse = np.unique(preds, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0 returns a column here

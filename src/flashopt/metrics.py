@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObjectiveSchema
-from .dominance import nondominated_mask, oriented_matrix, _values
+from .core import ObjectiveSchema, min_max_scale
+from .dominance import nondominated_mask, oriented_matrix, _matrix, _values
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,14 @@ def reference_front(
     )
 
 
-def _normalize(vectors: Sequence, ref: ReferenceFront, schema: ObjectiveSchema) -> np.ndarray:
-    arr = np.array([_values(v) for v in vectors], dtype=float)
-    if arr.shape[1] != len(schema):
-        raise ValueError("objective length mismatch against schema")
-    lo = np.array(ref.lo)
-    span = np.array(ref.hi) - lo
-    out = np.zeros_like(arr)
-    nz = span > 0
-    # Zero-range axes carry no information and contribute nothing.
-    out[:, nz] = (arr[:, nz] - lo[nz]) / span[nz]
-    return out
-
-
-def _mean_nearest(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over rows of a of the Euclidean distance to the nearest row of b."""
+def _mean_nearest(
+    a: Sequence, b: Sequence, ref: ReferenceFront, schema: ObjectiveSchema
+) -> float:
+    """Mean over a of the Euclidean distance to the nearest point of b, both
+    scaled by the reference front's bounds. A zero-range axis carries no
+    information and contributes nothing."""
+    lo, hi = np.array(ref.lo), np.array(ref.hi)
+    a, b = (min_max_scale(_matrix(v, schema), lo, hi) for v in (a, b))
     total = 0.0
     chunk = max(1, int(2_000_000 / max(1, b.shape[0])))
     for start in range(0, a.shape[0], chunk):
@@ -80,15 +73,11 @@ def gd(obtained: Sequence, ref: ReferenceFront, schema: ObjectiveSchema) -> floa
     """Mean distance from obtained solutions to the reference front."""
     if len(obtained) == 0 or len(ref.points) == 0:
         raise ValueError("gd needs nonempty obtained solutions and reference front")
-    a = _normalize(obtained, ref, schema)
-    b = _normalize(ref.points, ref, schema)
-    return _mean_nearest(a, b)
+    return _mean_nearest(obtained, ref.points, ref, schema)
 
 
 def igd(obtained: Sequence, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
     """Mean distance from the reference front to the obtained solutions."""
     if len(obtained) == 0 or len(ref.points) == 0:
         raise ValueError("igd needs nonempty obtained solutions and reference front")
-    a = _normalize(ref.points, ref, schema)
-    b = _normalize(obtained, ref, schema)
-    return _mean_nearest(a, b)
+    return _mean_nearest(ref.points, obtained, ref, schema)

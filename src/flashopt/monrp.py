@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from .core import DecisionPoint, ObjectiveSchema, ObjectiveVector, Problem, Sense
+
+from .core import ObjectiveSchema, ObjectiveVector, Problem, Sense
 
 
 def monrp_schema() -> ObjectiveSchema:
@@ -58,7 +58,6 @@ class MonrpInstance:
         if any(b <= 0 for b in self.budget):
             raise ValueError("budgets must be positive")
         self._scores: tuple[float, ...] | None = None
-        self._dependents: list[list[int]] | None = None
 
     def scores(self) -> tuple[float, ...]:
         """Per-requirement weighted importance, cached."""
@@ -68,15 +67,6 @@ class MonrpInstance:
                 for i in range(self.N)
             )
         return self._scores
-
-    def dependents_of(self) -> list[list[int]]:
-        """dependents_of()[b] lists requirements that depend on b, cached."""
-        if self._dependents is None:
-            table: list[list[int]] = [[] for _ in range(self.N)]
-            for a, b in self.deps:
-                table[b].append(a)
-            self._dependents = table
-        return self._dependents
 
 
 @dataclass(frozen=True)
@@ -301,55 +291,4 @@ def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
         evaluator,
         repairer=repairer,
         gene_values=gene_values,
-    )
-
-
-def plan_of(point: DecisionPoint) -> ReleasePlan:
-    """Decode a decision point produced by as_problem back into a plan."""
-    return ReleasePlan(tuple(int(v) for v in point.decisions))
-
-
-def save_instance(inst: MonrpInstance, path: str | Path) -> None:
-    """Line-oriented text serialization; round-trips bit-exactly."""
-    lines = [f"monrp {inst.N} {inst.P} {inst.M}"]
-    lines.append("cost " + " ".join(repr(v) for v in inst.cost))
-    lines.append("risk " + " ".join(repr(v) for v in inst.risk))
-    lines.append("weight " + " ".join(repr(v) for v in inst.weight))
-    for row in inst.importance:
-        lines.append("importance " + " ".join(repr(v) for v in row))
-    for a, b in inst.deps:
-        lines.append(f"dep {a} {b}")
-    lines.append("budget " + " ".join(repr(v) for v in inst.budget))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_instance(path: str | Path) -> MonrpInstance:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[:1] != ["monrp"] or len(head) != 4:
-        raise ValueError(f"{path}: bad header line {lines[0]!r}")
-    n, p, m = (int(v) for v in head[1:])
-    fields: dict[str, list[float]] = {}
-    importance: list[tuple[float, ...]] = []
-    deps: list[tuple[int, int]] = []
-    for ln in lines[1:]:
-        tag, *rest = ln.split()
-        if tag == "importance":
-            importance.append(tuple(float(v) for v in rest))
-        elif tag == "dep":
-            deps.append((int(rest[0]), int(rest[1])))
-        elif tag in ("cost", "risk", "weight", "budget"):
-            fields[tag] = [float(v) for v in rest]
-        else:
-            raise ValueError(f"{path}: unknown line tag {tag!r}")
-    return MonrpInstance(
-        N=n,
-        P=p,
-        M=m,
-        cost=tuple(fields["cost"]),
-        risk=tuple(fields["risk"]),
-        weight=tuple(fields["weight"]),
-        importance=tuple(importance),
-        deps=tuple(deps),
-        budget=tuple(fields["budget"]),
     )

@@ -25,6 +25,7 @@ from .core import (
     Problem,
     ProblemKind,
     RunResult,
+    min_max_scale,
 )
 from .dominance import front0, nondominated_sort
 
@@ -86,10 +87,8 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
                 f"pop_size {config.pop_size} exceeds pool of {problem.pool_size}"
             )
         table = problem.decision_matrix()
-        lo = table.min(axis=0)
-        span = table.max(axis=0) - lo
-        span[span == 0] = 1.0
-        table_norm = (table - lo) / span
+        lo, hi = table.min(axis=0), table.max(axis=0)
+        table_norm = min_max_scale(table, lo, hi)
         rows = problem.pool()
         unused = np.ones(len(rows), dtype=bool)
         start = rng.sample(range(len(rows)), config.pop_size)
@@ -107,7 +106,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     evaluated = list(population)
 
     def snap(decisions: tuple[float, ...]) -> DecisionPoint:
-        vec = (np.array(decisions, dtype=float) - lo) / span
+        vec = min_max_scale(np.array(decisions, dtype=float), lo, hi)
         d = ((table_norm - vec) ** 2).sum(axis=1)
         if unused.any():
             d = np.where(unused, d, np.inf)

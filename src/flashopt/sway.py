@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DecisionPoint, EvaluatedPoint, Problem, RunResult
+from .core import DecisionPoint, EvaluatedPoint, Problem, RunResult, min_max_scale
 from .dominance import front0, indicator_dominates
 
 
@@ -35,15 +35,6 @@ class SwayConfig:
             raise ValueError("enough must be at least 2")
 
 
-def _normalized(matrix: np.ndarray) -> np.ndarray:
-    lo = matrix.min(axis=0)
-    span = matrix.max(axis=0) - lo
-    out = np.zeros_like(matrix, dtype=float)
-    nz = span > 0
-    out[:, nz] = (matrix[:, nz] - lo[nz]) / span[nz]
-    return out
-
-
 def two_distant_points(
     items: Sequence[DecisionPoint], seed: int
 ) -> tuple[DecisionPoint, DecisionPoint]:
@@ -54,9 +45,10 @@ def two_distant_points(
     if len(items) < 2:
         raise ValueError("need at least 2 items to pick poles")
     matrix = np.array([p.decisions for p in items], dtype=float)
-    if np.all(matrix.max(axis=0) == matrix.min(axis=0)):
+    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    if np.all(hi == lo):
         raise DegenerateItems("all items identical in decision space")
-    normed = _normalized(matrix)
+    normed = min_max_scale(matrix, lo, hi)
     rng = random.Random(seed)
     anchor = rng.randrange(len(items))
 
@@ -81,7 +73,7 @@ def project(
     matrix = np.array(
         [p.decisions for p in items] + [west.decisions, east.decisions], dtype=float
     )
-    normed = _normalized(matrix)
+    normed = min_max_scale(matrix, matrix.min(axis=0), matrix.max(axis=0))
     w = normed[-2]
     e = normed[-1]
     c = float(np.sqrt(((e - w) ** 2).sum()))

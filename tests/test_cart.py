@@ -2,25 +2,32 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flashopt.cart import TreeParams, fit, fit_arrays, predict, predict_many, tree_size
+from flashopt.cart import TreeParams, fit_arrays, predict_many, tree_size
 
 
 def four_row_example():
     # One feature; targets jump from 0 to 10 between x=1 and x=2, so the
     # variance-reduction winner among thresholds {0.5, 1.5, 2.5} is 1.5.
-    return [((0.0,), 0.0), ((1.0,), 0.0), ((2.0,), 10.0), ((3.0,), 10.0)]
+    return np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 10.0, 10.0])
+
+
+def random_data(rng, n, f):
+    x = np.array([[rng.random() for _ in range(f)] for _ in range(n)])
+    return x, np.array([rng.random() for _ in range(n)])
 
 
 class TestFit:
     def test_constant_targets_single_leaf(self):
-        tree = fit([((i,), 5.0) for i in range(6)])
+        tree = fit_arrays(np.arange(6.0).reshape(6, 1), np.full(6, 5.0))
         assert tree.root.is_leaf
         assert tree.root.prediction == 5.0
         assert tree_size(tree) == (1, 1)
 
     def test_step_data_splits_at_midpoint(self):
-        tree = fit(four_row_example())
+        tree = fit_arrays(*four_row_example())
         assert not tree.root.is_leaf
         assert tree.root.feature == 0
         assert tree.root.threshold == 1.5
@@ -32,15 +39,13 @@ class TestFit:
         rng = random.Random(4)
         for _ in range(10):
             k = rng.randint(1, 40)
-            rows = [((rng.random(), rng.random()), rng.random()) for _ in range(k)]
-            nodes, leaves = tree_size(fit(rows))
+            nodes, leaves = tree_size(fit_arrays(*random_data(rng, k, 2)))
             assert leaves <= k
             assert nodes == 2 * leaves - 1
 
     def test_child_sample_counts_sum(self):
         rng = random.Random(9)
-        rows = [((rng.random(),), rng.random()) for _ in range(50)]
-        tree = fit(rows)
+        tree = fit_arrays(*random_data(rng, 50, 1))
         stack = [tree.root]
         while stack:
             node = stack.pop()
@@ -50,30 +55,28 @@ class TestFit:
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            fit([])
+            fit_arrays(np.empty((0, 1)), np.empty(0))
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(ValueError):
-            fit([((1.0,), 0.0), ((1.0, 2.0), 1.0)])
+            fit_arrays([[1.0], [1.0, 2.0]], [0.0, 1.0])
 
     def test_min_leaf_respected(self):
-        rows = four_row_example()
-        tree = fit(rows, TreeParams(min_leaf=2))
+        tree = fit_arrays(*four_row_example(), TreeParams(min_leaf=2))
         assert tree.root.threshold == 1.5  # outer thresholds leave a lone sample
         for node in (tree.root.left, tree.root.right):
             assert node.n >= 2
 
     def test_max_depth_zero_forces_leaf(self):
-        tree = fit(four_row_example(), TreeParams(max_depth=0))
+        tree = fit_arrays(*four_row_example(), TreeParams(max_depth=0))
         assert tree.root.is_leaf
 
     def test_deterministic(self):
         rng = random.Random(12)
-        rows = [
-            ((rng.choice([0.0, 1.0]), rng.random()), rng.random()) for _ in range(60)
-        ]
-        a = fit(rows)
-        b = fit(rows)
+        x = np.array([[rng.choice([0.0, 1.0]), rng.random()] for _ in range(60)])
+        y = np.array([rng.random() for _ in range(60)])
+        a = fit_arrays(x, y)
+        b = fit_arrays(x, y)
 
         def spine(node):
             if node.is_leaf:
@@ -89,62 +92,53 @@ class TestFit:
 
 
 class TestTrainingError:
-    @staticmethod
-    def sse(tree, rows):
-        return sum((predict(tree, d) - t) ** 2 for d, t in rows)
-
     def test_smaller_min_split_never_fits_worse(self):
-        rng = random.Random(7)
-        rows = [
-            ((rng.random(), rng.random(), rng.random()), rng.random())
-            for _ in range(80)
-        ]
-        errors = [
-            self.sse(fit(rows, TreeParams(min_split=ms)), rows)
-            for ms in (2, 5, 10, 20, 40, 80)
-        ]
+        x, y = random_data(random.Random(7), 80, 3)
+        splits = (2, 5, 10, 20, 40, 80)
+        trees = [fit_arrays(x, y, TreeParams(min_split=ms)) for ms in splits]
+        errors = [float(((predict_many(t, x) - y) ** 2).sum()) for t in trees]
         for finer, coarser in zip(errors, errors[1:]):
             assert finer <= coarser + 1e-9
 
     def test_predictions_stay_within_target_range(self):
         rng = random.Random(8)
-        rows = [((rng.random(), rng.random()), rng.uniform(-3, 7)) for _ in range(60)]
-        tree = fit(rows)
-        targets = [t for _, t in rows]
-        for _ in range(200):
-            probe = (rng.uniform(-1, 2), rng.uniform(-1, 2))
-            assert min(targets) - 1e-12 <= predict(tree, probe) <= max(targets) + 1e-12
+        x = np.array([[rng.random(), rng.random()] for _ in range(60)])
+        y = np.array([rng.uniform(-3, 7) for _ in range(60)])
+        tree = fit_arrays(x, y)
+        probes = np.array([[rng.uniform(-1, 2), rng.uniform(-1, 2)] for _ in range(200)])
+        got = predict_many(tree, probes)
+        assert np.all((y.min() - 1e-12 <= got) & (got <= y.max() + 1e-12))
 
 
 class TestPredict:
     def test_single_leaf_constant(self):
-        tree = fit([((1.0,), 2.5), ((2.0,), 2.5)])
-        assert predict(tree, (99.0,)) == 2.5
+        tree = fit_arrays(np.array([[1.0], [2.0]]), np.array([2.5, 2.5]))
+        assert predict_many(tree, np.array([[99.0]])).tolist() == [2.5]
 
     def test_pure_leaf_recovers_training_target(self):
-        rows = four_row_example()
-        tree = fit(rows)
-        for dec, target in rows:
-            assert predict(tree, dec) == target
+        x, y = four_row_example()
+        assert predict_many(fit_arrays(x, y), x).tolist() == y.tolist()
 
     def test_routing_around_threshold(self):
-        tree = fit(four_row_example())
-        assert predict(tree, (1.4,)) == 0.0
-        assert predict(tree, (1.6,)) == 10.0
+        tree = fit_arrays(*four_row_example())
+        assert predict_many(tree, np.array([[1.4], [1.6]])).tolist() == [0.0, 10.0]
 
     def test_arity_mismatch_rejected(self):
-        tree = fit(four_row_example())
+        tree = fit_arrays(*four_row_example())
         with pytest.raises(ValueError):
-            predict(tree, (1.0, 2.0))
+            predict_many(tree, np.array([[1.0, 2.0]]))
 
     def test_predict_many_matches_scalar(self):
+        # Reference: route one row at a time down the tree.
+        def walk(node, row):
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            return node.prediction
+
         rng = random.Random(3)
-        rows = [((rng.random(), rng.random()), rng.random()) for _ in range(40)]
-        tree = fit(rows)
+        tree = fit_arrays(*random_data(rng, 40, 2))
         probes = np.array([[rng.random(), rng.random()] for _ in range(100)])
-        batched = predict_many(tree, probes)
-        for row, got in zip(probes, batched):
-            assert got == predict(tree, tuple(row))
+        assert predict_many(tree, probes).tolist() == [walk(tree.root, r) for r in probes]
 
 
 def naive_root_split(rows, min_leaf=1):
@@ -183,7 +177,7 @@ class TestAgainstNaiveReference:
                 (tuple(rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(f)), rng.random())
                 for _ in range(n)
             ]
-            tree = fit(rows)
+            tree = fit_arrays([d for d, _ in rows], [t for _, t in rows])
             want = naive_root_split(rows)
             if want is None:
                 continue  # reference found no clearly positive gain
@@ -192,14 +186,47 @@ class TestAgainstNaiveReference:
 
 
 class TestFitArrays:
-    def test_matches_row_api(self):
-        rows = four_row_example()
-        x = np.array([d for d, _ in rows])
-        y = np.array([t for _, t in rows])
-        a, b = fit(rows), fit_arrays(x, y)
-        assert tree_size(a) == tree_size(b)
-        assert a.root.threshold == b.root.threshold
-
     def test_non_finite_targets_rejected(self):
         with pytest.raises(ValueError):
             fit_arrays(np.array([[0.0], [1.0]]), np.array([1.0, float("nan")]))
+
+    def test_non_finite_decisions_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="decisions must be finite"):
+                fit_arrays(np.array([[0.0], [bad]]), np.array([1.0, 2.0]))
+
+
+GRID = [0.0, 0.5, 1.0, 2.0, 7.5]  # few distinct values, so ties are common
+
+
+class TestFitProperties:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda f: st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(GRID), min_size=f, max_size=f),
+                    st.floats(-1e3, 1e3),
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leaf_means_and_node_count(self, rows, min_leaf):
+        x = np.array([d for d, _ in rows])
+        y = np.array([t for _, t in rows])
+        tree = fit_arrays(x, y, TreeParams(min_leaf=min_leaf))
+        reached = {}
+        for k, row in enumerate(x):
+            node = tree.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            reached.setdefault(id(node), (node, []))[1].append(k)
+        for node, members in reached.values():
+            assert node.n == len(members)
+            assert node.prediction == float(y[members].mean())
+        nodes, leaves = tree_size(tree)
+        assert leaves == len(reached)
+        assert nodes == 2 * leaves - 1

@@ -233,6 +233,15 @@ class TestMainRun:
         )
         assert code == 1
 
+    def test_non_finite_decision_cell_exits_nonzero(self, tmp_path, capsys):
+        # A NaN decision once made CART split forever; now the load rejects it.
+        table = tmp_path / "bad.csv"
+        table.write_text("x,z,-y\n1,0,3\n2,1,2\n3,nan,1\n4,0,4\n5,1,0\n", encoding="utf-8")
+        argv = ["run", "--problem", str(table), "--algo", "flash,sway", "--init", "2",
+                "--repeats", "1", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert f"{table}:4: " in capsys.readouterr().err
+
 
 class TestMainStats:
     def test_baseline_zero_reports_inf(self, tmp_path, capsys):

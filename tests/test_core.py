@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashopt.core import (
     DecisionPoint,
@@ -11,6 +14,7 @@ from flashopt.core import (
     ProblemKind,
     Sense,
     load_tabular,
+    min_max_scale,
 )
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
 
@@ -46,6 +50,31 @@ class TestObjectiveVector:
             ObjectiveVector((float("inf"),))
 
 
+class TestMinMaxScale:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda f: st.lists(
+                st.lists(st.floats(-1e300, 1e300), min_size=f, max_size=f),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_in_range_rows_land_in_unit_box(self, rows):
+        x = np.array(rows)
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        out = min_max_scale(x, lo, hi)
+        assert out.shape == x.shape
+        assert np.all((0.0 <= out) & (out <= 1.0))
+        assert np.all(out[:, hi == lo] == 0.0)
+
+    def test_zero_span_axis_maps_to_zero(self):
+        out = min_max_scale(np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([5.0, 1.0]),
+                            np.array([5.0, 3.0]))
+        assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
 class TestLoadTabular:
     def test_header_prefixes_define_senses(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
@@ -63,6 +92,14 @@ class TestLoadTabular:
     def test_non_numeric_cell_names_line_and_column(self, tmp_path):
         with pytest.raises(LoadError, match=r":3.*column 2"):
             load_tabular(write(tmp_path, "a,-y\n1,2\n3,oops\n"))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("col", [1, 2])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell, col):
+        row = [cell, "2"] if col == 1 else ["3", cell]
+        text = "a,-y\n1,2\n" + ",".join(row) + "\n"
+        with pytest.raises(LoadError, match=rf"\.csv:3: .*'{cell}' in column {col}"):
+            load_tabular(write(tmp_path, text))
 
     def test_ragged_row_rejected(self, tmp_path):
         with pytest.raises(LoadError, match=":2"):

@@ -3,14 +3,13 @@ import statistics
 import pytest
 
 from flashopt.domtree import build_domination_tree, render, tree_stats
-from flashopt.dominance import domination_score
 from flashopt.flash import FlashConfig, run_flash
 from flashopt.nsga2 import Nsga2Config, run_nsga2
 from flashopt.synth import make_synthetic
 
 from flashopt.core import DecisionPoint, EvaluatedPoint, ObjectiveVector
 
-from conftest import make_points
+from conftest import brute_domination_scores, make_points, senses_of
 
 
 def points_at(decisions, objectives):
@@ -51,10 +50,12 @@ class TestBuildDominationTree:
     def test_targets_equal_bruteforce_scores(self, min2):
         # A chain: scores 3, 2, 1, 0 over the decision axis; a tree fitted
         # on those targets predicts each exactly (pure leaves reachable).
-        points = make_points([(0, 0), (1, 1), (2, 2), (3, 3)])
+        vectors = [(0, 0), (1, 1), (2, 2), (3, 3)]
+        points = make_points(vectors)
         dt = build_domination_tree(points, min2, ["x"])
-        for p in points:
-            want = domination_score(p, points, min2)
+        scores = brute_domination_scores(vectors, senses_of(min2))
+        assert scores == [3, 2, 1, 0]
+        for p, want in zip(points, scores):
             node = dt.tree.root
             while not node.is_leaf:
                 value = p.point.decisions[node.feature]

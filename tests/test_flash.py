@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from flashopt.cart import fit
+from flashopt.cart import fit_arrays
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import front0
 from flashopt.flash import FlashConfig, run_flash, what_to_evaluate_next
@@ -23,7 +24,14 @@ def grid_problem(n=60, constant=False):
 
 
 def constant_model(value, rows=4):
-    return fit([((float(i),), value) for i in range(rows)])
+    return fit_arrays(np.arange(rows, dtype=float).reshape(rows, 1), np.full(rows, value))
+
+
+def pick(candidates, models, schema):
+    """The candidate point whose row what_to_evaluate_next returns."""
+    matrix = np.array([c.decisions for c in candidates], dtype=float)
+    ids = [c.id for c in candidates]
+    return candidates[what_to_evaluate_next(matrix, ids, models, schema)]
 
 
 class TestRunFlash:
@@ -112,34 +120,31 @@ class TestWhatToEvaluateNext:
         prob = grid_problem(8)
         models = [constant_model(1.0), constant_model(2.0)]
         only = prob.pool()[3]
-        assert what_to_evaluate_next([only], models, min2) is only
+        assert pick([only], models, min2) is only
 
     def test_constant_models_tie_to_lowest_id(self, min2):
         prob = grid_problem(8)
         pool = prob.pool()
         models = [constant_model(1.0), constant_model(2.0)]
-        pick = what_to_evaluate_next([pool[5], pool[2], pool[7]], models, min2)
-        assert pick.id == 2
+        assert pick([pool[5], pool[2], pool[7]], models, min2).id == 2
 
     def test_three_candidate_tradeoff_all_tie(self, min2):
         # Models predict f1=x and f2=1-x; for candidates 0.0, 0.5, 1.0 the
         # pairwise indicator values are exactly symmetric, so every
         # domination count is 0 and the lowest id wins.
-        rows = [((0.0,), 0.0), ((0.5,), 0.5), ((1.0,), 1.0)]
-        m1 = fit(rows)
-        m2 = fit([((x,), 1.0 - t) for (x,), t in rows])
+        x = np.array([[0.0], [0.5], [1.0]])
+        m1 = fit_arrays(x, x[:, 0])
+        m2 = fit_arrays(x, 1.0 - x[:, 0])
         prob = grid_problem(3)
         pool = prob.pool()
         for a, b in ((0.0, 0.5), (0.0, 1.0), (0.5, 1.0)):
             assert not brute_indicator_dominates((a, 1 - a), (b, 1 - b), ["min", "min"])
             assert not brute_indicator_dominates((b, 1 - b), (a, 1 - a), ["min", "min"])
-        pick = what_to_evaluate_next(pool, [m1, m2], min2)
-        assert pick.id == 0
+        assert pick(pool, [m1, m2], min2).id == 0
 
     def test_dominating_prediction_wins(self, min2):
         # f1 = x, f2 = x: smaller x dominates outright.
-        rows = [((float(i),), float(i)) for i in range(6)]
-        model = fit(rows)
+        model = fit_arrays(np.arange(6.0).reshape(6, 1), np.arange(6.0))
         prob = Problem.tabular(
             "chain",
             ("x",),
@@ -147,14 +152,13 @@ class TestWhatToEvaluateNext:
             [(float(i),) for i in range(6)],
             [(float(i), float(i)) for i in range(6)],
         )
-        pick = what_to_evaluate_next(prob.pool(), [model, model], min2)
-        assert pick.id == 0
+        assert pick(prob.pool(), [model, model], min2).id == 0
 
     def test_empty_candidates_rejected(self, min2):
-        with pytest.raises(ValueError):
-            what_to_evaluate_next([], [constant_model(0.0)] * 2, min2)
+        with pytest.raises(ValueError, match="no candidates"):
+            what_to_evaluate_next(np.empty((0, 1)), [], [constant_model(0.0)] * 2, min2)
 
     def test_model_count_must_match_schema(self, min2):
         prob = grid_problem(5)
-        with pytest.raises(ValueError):
-            what_to_evaluate_next(prob.pool(), [constant_model(0.0)], min2)
+        with pytest.raises(ValueError, match="one model per objective"):
+            pick(prob.pool(), [constant_model(0.0)], min2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -71,8 +72,6 @@ def test_output_matches_golden(case, tmp_path):
 
 
 def freeze() -> None:
-    import tempfile
-
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             files = produce(case, Path(tmp))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.metrics import ReferenceFront, gd, igd, reference_front
@@ -81,6 +83,22 @@ class TestIgd:
         obtained = [(0, 1)]
         assert gd(obtained, ref, min2) == 0.0
         assert igd(obtained, ref, min2) > 0.0
+
+
+class TestOnReferenceFront:
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gd_and_igd_vanish(self, vectors):
+        schema = ObjectiveSchema(("a", "b", "c"), (Sense.MIN, Sense.MAX, Sense.MIN))
+        ref = reference_front(vectors, schema)
+        assert gd(ref.points, ref, schema) == 0.0
+        assert igd(ref.points, ref, schema) == 0.0
 
 
 class TestNormalization:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashopt.core import ObjectiveVector, Sense
 from flashopt.monrp import (
@@ -9,11 +11,9 @@ from flashopt.monrp import (
     evaluate_plan,
     generate,
     is_feasible,
-    load_instance,
     monrp_schema,
     random_valid_plan,
     repair_plan,
-    save_instance,
 )
 
 
@@ -207,6 +207,24 @@ class TestRandomValidPlan:
 
 
 class TestRepairPlan:
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 50),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_output_feasible_and_idempotent(self, n, p, m, dep, funding, seed, data):
+        inst = generate(n, p, m, dep, funding, seed=seed)
+        release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+        repaired = repair_plan(inst, ReleasePlan(tuple(release)))
+        ok, violations = is_feasible(inst, repaired)
+        assert ok, violations
+        assert repair_plan(inst, repaired) == repaired
+
     def test_outputs_feasible(self):
         rng = random.Random(99)
         inst = generate(25, 4, 3, 30, 80, seed=6)
@@ -219,11 +237,3 @@ class TestRepairPlan:
         inst = generate(20, 3, 3, 10, 110, seed=8)
         plan = random_valid_plan(inst, 3)
         assert repair_plan(inst, plan) == plan
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        inst = generate(18, 3, 4, 25, 95, seed=10)
-        path = tmp_path / "instance.txt"
-        save_instance(inst, path)
-        assert load_instance(path) == inst

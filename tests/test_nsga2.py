@@ -5,7 +5,7 @@ import pytest
 
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import binary_dominates, front0
-from flashopt.monrp import as_problem, generate, is_feasible, plan_of
+from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
 from flashopt.nsga2 import Nsga2Config, crowding_distance, run_nsga2
 from flashopt.synth import make_synthetic
 
@@ -116,7 +116,8 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=4, seed=7))
         assert res.evals == 50
         for e in res.evaluated:
-            ok, violations = is_feasible(inst, plan_of(e.point))
+            plan = ReleasePlan(tuple(int(v) for v in e.point.decisions))
+            ok, violations = is_feasible(inst, plan)
             assert ok, violations
 
     def test_tabular_offspring_are_pool_rows(self):
