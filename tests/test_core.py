@@ -70,8 +70,8 @@ class TestMinMaxScale:
         assert np.all(out[:, hi == lo] == 0.0)
 
     def test_zero_span_axis_maps_to_zero(self):
-        out = min_max_scale(np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([5.0, 1.0]),
-                            np.array([5.0, 3.0]))
+        lo, hi = np.array([5.0, 1.0]), np.array([5.0, 3.0])
+        out = min_max_scale(np.array([[5.0, 1.0], [5.0, 3.0]]), lo, hi)
         assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
