@@ -9,7 +9,11 @@ Two families of comparison are used throughout the toolkit:
   and +1 for maximized objectives; x dominates y when M(y, x) > M(x, y).
   Used to compare sway's poles, to rank flash's predictions and to count
   domination scores. One kernel, _class_wins, decides it for every pair of
-  a set of vectors; the two-vector predicate is its smallest case.
+  a set of vectors; the two-vector predicate is its smallest case. It
+  works in row tiles over the upper triangle of the pair matrix, computes
+  both directions of each pair from one set of per-objective differences,
+  and adds each pair's m exponentials in the order numpy's own sum would,
+  so its verdicts are bit-identical to the plain (d, d, m) formulation.
 
 Objective arguments may be ObjectiveVector instances or plain sequences of
 floats; both are compared against the given schema.
@@ -24,6 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import EvaluatedPoint, ObjectiveSchema, ObjectiveVector, Sense
+
+# Rows per tile of the indicator-wins kernel.
+_TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,8 @@ def indicator_dominates(x, y, schema: ObjectiveSchema) -> bool:
 
 
 def _matrix(vectors: Sequence, schema: ObjectiveSchema) -> np.ndarray:
+    if len(vectors) == 0:
+        return np.empty((0, len(schema)))
     arr = np.array([_values(v) for v in vectors], dtype=float)
     if arr.shape[1] != len(schema):
         raise ValueError("objective length mismatch against schema")
@@ -202,7 +211,10 @@ def domination_scores(
     keys, members = _distinct_classes(points)
     counts = np.array([len(m) for m in members])
     wins = _class_wins(keys, schema)
-    class_scores = (wins * counts[None, :]).sum(axis=1)
+    class_scores = np.empty(len(keys), dtype=counts.dtype)
+    for a in range(0, len(keys), _TILE_ROWS):
+        block = slice(a, a + _TILE_ROWS)
+        class_scores[block] = (wins[block] * counts).sum(axis=1)
     out = [0] * len(points)
     for ci, ms in enumerate(members):
         for k in ms:
@@ -216,18 +228,78 @@ def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> n
     Computed as sum(e^delta) > sum(e^-delta) with delta = w (x_i - x_j) / m,
     both sides rescaled by a common factor when the exponents would
     overflow; rescaling by a positive constant cannot change the comparison.
-    Only the forward sums are materialized: the backward sum of pair (i, j)
-    is, float for float, the forward sum of (j, i), because delta is
-    exactly antisymmetric and the rescale depends on |delta| only.
+
+    Works in tiles of _TILE_ROWS rows over the upper triangle, rows [a, b)
+    against columns [a, d), with one 2-D buffer per objective. Each tile
+    yields both directions: forward = sum_k e^(delta_k - shift) and
+    backward = sum_k e^(-shift - delta_k). delta is exactly antisymmetric,
+    the shift depends on |delta| only and IEEE addition commutes, so
+    backward is, float for float, the forward sum of the reversed pair.
+    The m terms are added in the order numpy's sum over a contiguous axis
+    uses (_ordered_sum), so every verdict is bit-identical to summing a
+    (d, d, m) array of exponentials along its last axis.
     """
     m = len(schema)
-    signed = np.array(keys, dtype=float) * np.array(schema.weights, dtype=float)
+    signed = _matrix(keys, schema) * np.array(schema.weights, dtype=float)
     d = signed.shape[0]
-    forward = np.empty((d, d))
-    chunk = max(1, int(2_000_000 / max(1, d * m)))
-    for start in range(0, d, chunk):
-        stop = min(d, start + chunk)
-        delta = (signed[start:stop, None, :] - signed[None, :, :]) / m
-        shift = np.maximum(0.0, np.abs(delta).max(axis=2) - 700.0)[:, :, None]
-        forward[start:stop] = np.exp(delta - shift).sum(axis=2)
-    return forward.T < forward
+    wins = np.zeros((d, d), dtype=bool)
+    cols = np.ascontiguousarray(signed.T)
+    rows = min(d, _TILE_ROWS)
+    delta_buf = np.empty((m, rows * d))
+    term_buf = np.empty((m, rows * d))
+    shift_buf = np.empty(rows * d)
+    for a in range(0, d, _TILE_ROWS):
+        b = min(d, a + _TILE_ROWS)
+        shape = (b - a, d - a)
+        size = shape[0] * shape[1]
+        delta = [delta_buf[k, :size].reshape(shape) for k in range(m)]
+        term = [term_buf[k, :size].reshape(shape) for k in range(m)]
+        shift = shift_buf[:size].reshape(shape)
+        for k in range(m):
+            np.subtract(cols[k][a:b, None], cols[k][None, a:], out=delta[k])
+            np.divide(delta[k], m, out=delta[k])
+        np.abs(delta[0], out=shift)
+        for k in range(1, m):
+            np.maximum(shift, np.abs(delta[k], out=term[k]), out=shift)
+        np.subtract(shift, 700.0, out=shift)
+        np.maximum(shift, 0.0, out=shift)
+        for k in range(m):
+            np.exp(np.subtract(delta[k], shift, out=term[k]), out=term[k])
+        forward = _ordered_sum(term)
+        np.negative(shift, out=shift)
+        for k in range(m):
+            np.exp(np.subtract(shift, delta[k], out=delta[k]), out=delta[k])
+        backward = _ordered_sum(delta)
+        np.less(backward, forward, out=wins[a:b, a:])
+        wins[a:, a:b] |= (forward < backward).T
+    return wins
+
+
+def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, added in the order numpy's
+    pairwise sum adds a contiguous run of len(terms) values: left to right
+    below 8 terms; from 8 up, 8 running accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder left to right;
+    above 128, the two halves (split at a multiple of 8) summed recursively.
+    Sums into the arrays in place and returns the one holding the total.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _ordered_sum(terms[:half])
+        total += _ordered_sum(terms[half:])
+        return total
+    if n < 8:
+        for t in terms[1:]:
+            terms[0] += t
+        return terms[0]
+    r = terms[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    for lo, hi in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[lo] += r[hi]
+    for t in terms[tail:]:
+        r[0] += t
+    return r[0]

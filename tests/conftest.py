@@ -3,7 +3,8 @@
 The oracles below re-implement the comparison definitions directly from
 their formulas, in plain Python, without touching the library's dominance
 module. Tests freeze expected values computed by these oracles and compare
-the library against them.
+the library against them. reference_class_wins is the exception: the numpy
+form of the indicator-wins kernel, kept as its bit-exact reference.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from flashopt.core import (
@@ -84,6 +86,24 @@ def brute_domination_scores(vectors, senses) -> list[int]:
         )
         for i, v in enumerate(vectors)
     ]
+
+
+def reference_class_wins(keys, schema) -> np.ndarray:
+    """The indicator-wins kernel in its plain (d, d, m) form: wins[i, j] iff
+    vector i indicator-dominates vector j. The library's tiled kernel must
+    agree with it bit for bit; brute_indicator_dominates rounds near-ties
+    differently and cannot serve as that oracle."""
+    m = len(schema)
+    signed = np.array(keys, dtype=float) * np.array(schema.weights, dtype=float)
+    d = signed.shape[0]
+    forward = np.empty((d, d))
+    chunk = max(1, int(2_000_000 / max(1, d * m)))
+    for start in range(0, d, chunk):
+        stop = min(d, start + chunk)
+        delta = (signed[start:stop, None, :] - signed[None, :, :]) / m
+        shift = np.maximum(0.0, np.abs(delta).max(axis=2) - 700.0)[:, :, None]
+        forward[start:stop] = np.exp(delta - shift).sum(axis=2)
+    return forward.T < forward
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

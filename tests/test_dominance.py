@@ -2,12 +2,15 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.dominance import (
+    _TILE_ROWS,
+    _class_wins,
     binary_dominates,
     domination_scores,
     front0,
@@ -23,6 +26,7 @@ from conftest import (
     brute_indicator_dominates,
     brute_indicator_m,
     make_points,
+    reference_class_wins,
     senses_of,
 )
 
@@ -233,3 +237,56 @@ class TestDominationScore:
         for i, x in enumerate(vectors):
             ties = sum(1 for j, y in enumerate(vectors) if j != i and gap(x, y) <= tol)
             assert abs(batch[i] - want[i]) <= ties
+
+
+@st.composite
+def key_sets(draw):
+    """Up to 40 vectors of 1..12 objectives under mixed senses, either on a
+    short 0.1 grid or spread up to 1e6 (overflow rescale). On the grid many
+    pairs tie in exact arithmetic, so the order in which the kernel adds
+    its m terms decides their verdicts."""
+    m = draw(st.integers(1, 12))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        value = st.integers(0, 5).map(lambda v: v / 10)
+    else:
+        value = st.floats(0, 1e6)
+    d = draw(st.integers(1, 40))
+    keys = draw(st.lists(st.tuples(*[value] * m), min_size=d, max_size=d))
+    return keys, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
+class TestClassWins:
+    @given(key_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, case):
+        keys, schema = case
+        assert np.array_equal(_class_wins(keys, schema), reference_class_wins(keys, schema))
+
+    def test_several_tiles_and_scores(self, rng):
+        # Full tiles, diagonal blocks and a ragged last tile, with duplicate
+        # vectors so domination_scores weighs its row blocks by class size.
+        d = _TILE_ROWS + 37
+        for m, spread in ((3, 0), (9, 0), (3, 1e6), (9, 1e6)):
+            senses = tuple(rng.choice(list(Sense)) for _ in range(m))
+            schema = ObjectiveSchema(tuple(f"o{i}" for i in range(m)), senses)
+            keys = [
+                tuple(rng.uniform(0, spread) if spread else rng.randint(0, 5) / 10
+                      for _ in range(m))
+                for _ in range(d)
+            ]
+            wins = reference_class_wins(keys, schema)
+            assert np.array_equal(_class_wins(keys, schema), wins)
+            counts = np.array([1 + k % 3 for k in range(d)])
+            vectors = [key for key, c in zip(keys, counts) for _ in range(c)]
+            scores = (wins * counts).sum(axis=1)
+            want = [int(scores[k]) for k, c in enumerate(counts) for _ in range(c)]
+            assert domination_scores(make_points(vectors), schema) == want
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="objective length mismatch"):
+            _class_wins([(1.0,), (2.0,)], schema_for(3))
+
+    def test_empty_gives_empty_matrix(self):
+        wins = _class_wins([], schema_for(3))
+        assert wins.shape == (0, 0) and wins.dtype == bool
