@@ -113,22 +113,27 @@ def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
 
     Rows must be minimize-oriented. Equal rows never dominate each other,
     so duplicates survive together.
+
+    The rows are first sorted lexicographically, column 0 first. A row
+    that dominates another is no larger on any column and smaller on one,
+    so it sorts strictly before the row it dominates. Each pass takes the
+    first remaining row and drops every later row it dominates. That first
+    row is on the front: only an earlier row could dominate it, and every
+    earlier row was either taken by a previous pass, which would have
+    dropped it, or dropped by a taken row, which then dominates it too.
+    The loop runs once per front row, so the cost is O(|front| * n * m)
+    on n rows of m objectives, plus the O(n log n * m) sort.
     """
-    n = oriented.shape[0]
-    idx = np.arange(n)
-    work = oriented
-    i = 0
-    while i < work.shape[0]:
-        row = work[i]
-        keep = ~(np.all(row <= work, axis=1) & np.any(row < work, axis=1))
-        keep[i] = True
-        if not keep.all():
-            work = work[keep]
-            idx = idx[keep]
-            i = int(np.count_nonzero(keep[:i]))
-        i += 1
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
+    order = np.lexsort(oriented.T[::-1])
+    work = oriented[order]
+    front = []
+    while work.shape[0]:
+        row, rest = work[0], work[1:]
+        keep = ~(np.all(row <= rest, axis=1) & np.any(row < rest, axis=1))
+        front.append(order[0])
+        work, order = rest[keep], order[1:][keep]
+    mask = np.zeros(oriented.shape[0], dtype=bool)
+    mask[front] = True
     return mask
 
 

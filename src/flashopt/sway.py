@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DecisionPoint, EvaluatedPoint, Problem, RunResult, min_max_scale
-from .dominance import front0, indicator_dominates
+from .dominance import _class_wins, _pair, front0
 
 
 class DegenerateItems(ValueError):
@@ -121,8 +121,8 @@ def run_sway(problem: Problem, pool: Sequence[DecisionPoint], config: SwayConfig
             return
         ev_west = eval_pole(west)
         ev_east = eval_pole(east)
-        go_west = indicator_dominates(ev_west.objectives, ev_east.objectives, schema)
-        go_east = indicator_dominates(ev_east.objectives, ev_west.objectives, schema)
+        wins = _class_wins(_pair(ev_west.objectives, ev_east.objectives, schema), schema)
+        go_west, go_east = bool(wins[0, 1]), bool(wins[1, 0])
         if not go_west and not go_east:
             emit(items)
             return

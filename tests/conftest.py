@@ -3,8 +3,9 @@
 The oracles below re-implement the comparison definitions directly from
 their formulas, in plain Python, without touching the library's dominance
 module. Tests freeze expected values computed by these oracles and compare
-the library against them. reference_class_wins is the exception: the numpy
-form of the indicator-wins kernel, kept as its bit-exact reference.
+the library against them. reference_class_wins and reference_nondominated_mask
+are the exceptions: the earlier numpy forms of the indicator-wins kernel and
+of the non-dominated filter, kept as their exact references.
 """
 
 from __future__ import annotations
@@ -104,6 +105,28 @@ def reference_class_wins(keys, schema) -> np.ndarray:
         shift = np.maximum(0.0, np.abs(delta).max(axis=2) - 700.0)[:, :, None]
         forward[start:stop] = np.exp(delta - shift).sum(axis=2)
     return forward.T < forward
+
+
+def reference_nondominated_mask(oriented: np.ndarray) -> np.ndarray:
+    """The non-dominated filter as a per-row elimination loop in input order:
+    each surviving row removes every row it binary-dominates. Rows are
+    minimize-oriented; equal rows never dominate each other."""
+    n = oriented.shape[0]
+    idx = np.arange(n)
+    work = oriented
+    i = 0
+    while i < work.shape[0]:
+        row = work[i]
+        keep = ~(np.all(row <= work, axis=1) & np.any(row < work, axis=1))
+        keep[i] = True
+        if not keep.all():
+            work = work[keep]
+            idx = idx[keep]
+            i = int(np.count_nonzero(keep[:i]))
+        i += 1
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.dominance import (
@@ -16,7 +17,9 @@ from flashopt.dominance import (
     front0,
     indicator_dominates,
     indicator_value,
+    nondominated_mask,
     nondominated_sort,
+    oriented_matrix,
 )
 
 from conftest import (
@@ -27,6 +30,7 @@ from conftest import (
     brute_indicator_m,
     make_points,
     reference_class_wins,
+    reference_nondominated_mask,
     senses_of,
 )
 
@@ -202,6 +206,64 @@ class TestNondominatedSort:
         points = make_points(vectors)
         ids = [p.eval_index for p in front0(points, schema)]
         assert tuple(ids) == nondominated_sort(points, schema).fronts[0]
+
+
+@st.composite
+def grid_sets(draw):
+    """0..200 vectors of 1..6 objectives under mixed senses, on a 0..3
+    integer grid, so exact ties on some axes and duplicate rows are common."""
+    m = draw(st.integers(1, 6))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    n = draw(st.integers(0, 200))
+    grid = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3)))
+    vectors = [tuple(map(float, row)) for row in grid.tolist()]
+    return vectors, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
+class TestNondominatedMask:
+    @given(grid_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_and_brute_front(self, case):
+        vectors, schema = case
+        oriented = oriented_matrix(vectors, schema)
+        mask = nondominated_mask(oriented)
+        assert np.array_equal(mask, reference_nondominated_mask(oriented))
+        fronts = brute_front_partition(vectors, senses_of(schema))
+        want = np.zeros(len(vectors), dtype=bool)
+        want[fronts[0] if fronts else []] = True
+        assert np.array_equal(mask, want)
+
+    @given(grid_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_row_permutation(self, case, rnd):
+        vectors, schema = case
+        oriented = oriented_matrix(vectors, schema)
+        perm = np.array(rnd.sample(range(len(vectors)), len(vectors)), dtype=int)
+        mask = nondominated_mask(oriented)
+        assert np.array_equal(nondominated_mask(oriented[perm]), mask[perm])
+
+    def test_empty_input(self):
+        mask = nondominated_mask(np.empty((0, 3)))
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_single_row(self):
+        assert nondominated_mask(np.array([[2.0, -1.0, 5.0]])).tolist() == [True]
+
+    def test_all_rows_equal_are_kept(self):
+        assert nondominated_mask(np.full((7, 3), 1.5)).all()
+
+    def test_antichain_is_kept(self, rng):
+        rows = [(float(i), float(499 - i)) for i in range(500)]
+        rng.shuffle(rows)
+        assert nondominated_mask(np.array(rows)).all()
+
+    def test_tie_on_all_but_one_axis(self):
+        # (1, 2, 4) ties the front member (1, 2, 3) on two axes and is worse
+        # on the third; (1, 2, 2) in turn beats (1, 2, 3) on that axis.
+        rows = np.array([[1.0, 2.0, 4.0], [0.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
+        assert nondominated_mask(rows).tolist() == [False, True, True]
+        rows = np.vstack([rows, [1.0, 2.0, 2.0]])
+        assert nondominated_mask(rows).tolist() == [False, True, False, True]
 
 
 class TestDominationScore:
