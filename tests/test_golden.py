@@ -1,7 +1,8 @@
 """Golden lock: a fixed CLI spec must keep producing byte-identical output.
 
 Each case runs all four algorithms through `flashopt run` on a tiny spec,
-then `flashopt tree` on the run-0 flash and nsga2 dumps, and compares every
+then `flashopt tree` on the run-0 flash and nsga2 dumps and `flashopt stats`
+on the results file (igd and evals against random), and compares every
 byte with the files frozen under tests/golden/<case>/. A refactor must keep
 this test green without touching those files. A deliberate change of
 behaviour re-freezes them with
@@ -25,6 +26,7 @@ from flashopt.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TREE_ALGOS = ("flash", "nsga2")
+STATS_MEASURES = ("igd", "evals")
 COMMON = [
     "--algo", "flash,sway,nsga2,random", "--repeats", "2", "--seed", "1",
     "--init", "8", "--lives", "3", "--pop", "8", "--gens", "3",
@@ -36,20 +38,29 @@ CASES = {
 }
 
 
+def printed(argv: list[str]) -> bytes:
+    """stdout of one successful CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue().encode("utf-8")
+
+
 def produce(case: str, out_dir: Path) -> dict[str, bytes]:
     """Run one case into out_dir; return relative path -> produced bytes."""
     out = out_dir / "results.csv"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", *CASES[case], *COMMON, "--out", str(out)]) == 0
+    printed(["run", *CASES[case], *COMMON, "--out", str(out)])
     files = {"results.csv": out.read_bytes()}
     for path in sorted((out_dir / "runs").glob("*.csv")):
         files[f"runs/{path.name}"] = path.read_bytes()
     for algo in TREE_ALGOS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["tree", "--in", str(out_dir), "--run-id", "0", "--algo", algo])
-        assert code == 0
-        files[f"tree_{algo}.txt"] = buf.getvalue().encode("utf-8")
+        files[f"tree_{algo}.txt"] = printed(
+            ["tree", "--in", str(out_dir), "--run-id", "0", "--algo", algo]
+        )
+    for measure in STATS_MEASURES:
+        files[f"stats_{measure}.txt"] = printed(
+            ["stats", "--in", str(out), "--measure", measure, "--baseline", "random"]
+        )
     return files
 
 
