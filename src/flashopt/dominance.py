@@ -117,23 +117,23 @@ def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
     The rows are first sorted lexicographically, column 0 first. A row
     that dominates another is no larger on any column and smaller on one,
     so it sorts strictly before the row it dominates. Each pass takes the
-    first remaining row and drops every later row it dominates. That first
-    row is on the front: only an earlier row could dominate it, and every
-    earlier row was either taken by a previous pass, which would have
-    dropped it, or dropped by a taken row, which then dominates it too.
-    The loop runs once per front row, so the cost is O(|front| * n * m)
-    on n rows of m objectives, plus the O(n log n * m) sort.
+    first remaining row, which is on the front: only an earlier row could
+    dominate it, and every earlier row was either taken by a previous
+    pass, which would have removed it, or removed by a taken row, which
+    then dominates it too. The pass removes every row that the first row
+    is no larger than on all columns: the rows it dominates, and its
+    copies, which are on the front with it (a row dominating a copy would
+    dominate the first row too). The loop runs once per distinct front
+    vector, so the cost is O(|distinct front| * n * m) on n rows of m
+    objectives, plus the O(n log n * m) sort.
     """
     order = np.lexsort(oriented.T[::-1])
     work = oriented[order]
-    front = []
-    while work.shape[0]:
-        row, rest = work[0], work[1:]
-        keep = ~(np.all(row <= rest, axis=1) & np.any(row < rest, axis=1))
-        front.append(order[0])
-        work, order = rest[keep], order[1:][keep]
     mask = np.zeros(oriented.shape[0], dtype=bool)
-    mask[front] = True
+    while work.shape[0]:
+        covered = np.all(work[0] <= work, axis=1)
+        mask[order[covered & np.all(work[0] == work, axis=1)]] = True
+        work, order = work[~covered], order[~covered]
     return mask
 
 
@@ -193,13 +193,10 @@ def front0(
     """The non-dominated subset, ordered by ascending eval_index."""
     if not points:
         raise ValueError("cannot take the front of an empty point list")
-    keys, members = _distinct_classes(points)
-    mask = nondominated_mask(oriented_matrix(keys, schema))
-    picked = sorted(
-        (k for ci in np.nonzero(mask)[0] for k in members[ci]),
-        key=lambda k: points[k].eval_index,
+    mask = nondominated_mask(oriented_matrix([p.objectives for p in points], schema))
+    return sorted(
+        (p for p, keep in zip(points, mask) if keep), key=lambda p: p.eval_index
     )
-    return [points[k] for k in picked]
 
 
 def domination_scores(
@@ -208,23 +205,34 @@ def domination_scores(
     """Domination score of every point: how many other points of the list
     it indicator-dominates.
 
-    Computed over distinct objective vectors: members of one class share a
-    score, and equal vectors never dominate each other.
+    Points are grouped by exact objective vector with a dict, which for a
+    list of points is cheaper than np.unique; _class_scores then scores
+    each distinct vector once, and every member of a group shares its
+    score. Equal vectors never dominate each other.
     """
     if not points:
         return []
     keys, members = _distinct_classes(points)
-    counts = np.array([len(m) for m in members])
-    wins = _class_wins(keys, schema)
-    class_scores = np.empty(len(keys), dtype=counts.dtype)
-    for a in range(0, len(keys), _TILE_ROWS):
-        block = slice(a, a + _TILE_ROWS)
-        class_scores[block] = (wins[block] * counts).sum(axis=1)
+    class_scores = _class_scores(keys, np.array([len(m) for m in members]), schema)
     out = [0] * len(points)
     for ci, ms in enumerate(members):
         for k in ms:
             out[k] = int(class_scores[ci])
     return out
+
+
+def _class_scores(
+    keys: Sequence, counts: np.ndarray, schema: ObjectiveSchema
+) -> np.ndarray:
+    """Domination score of each distinct vector: counts[j] summed over the
+    vectors j it indicator-dominates, one row tile of wins at a time so no
+    d x d integer matrix is built; counts[j] is how many points share j."""
+    wins = _class_wins(keys, schema)
+    scores = np.empty(len(keys), dtype=counts.dtype)
+    for a in range(0, len(keys), _TILE_ROWS):
+        block = slice(a, a + _TILE_ROWS)
+        scores[block] = (wins[block] * counts).sum(axis=1)
+    return scores
 
 
 def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> np.ndarray:

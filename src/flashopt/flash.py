@@ -25,7 +25,7 @@ from .core import (
     Problem,
     RunResult,
 )
-from .dominance import front0, nondominated_mask, _class_wins
+from .dominance import front0, nondominated_mask, _class_scores
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
     cand_matrix = np.array([p.decisions for p in remaining], dtype=float).reshape(
         len(remaining), problem.decision_arity
     )
-    cand_ids = [p.id for p in remaining]
+    cand_ids = np.array([p.id for p in remaining], dtype=int)
 
     best = front0(evaluated, schema)
     lives = config.lives
@@ -82,7 +82,7 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
         ev = problem.evaluate(chosen)
         evaluated.append(ev)
         del remaining[pick]
-        del cand_ids[pick]
+        cand_ids = np.delete(cand_ids, pick)
         cand_matrix = np.delete(cand_matrix, pick, axis=0)
 
         tmp = front0(best + [ev], schema)
@@ -105,32 +105,21 @@ def what_to_evaluate_next(
 
     Predictions from one tree per objective form pseudo-points; the row
     returned is the indicator-best member of their non-dominated front,
-    ties broken by the lowest candidate id. Works on distinct predicted
-    vectors: duplicates share front membership and domination score, so
-    scoring once per class is exact.
+    ties broken by the lowest candidate id. The filter runs on the raw
+    predicted rows and keeps copies of a front vector together; only the
+    front rows are then grouped by exact vector, so each distinct front
+    vector is scored once, weighted by its number of copies. Copies share
+    front membership and domination score, so this is exact.
     """
     if len(cand_ids) == 0:
         raise ValueError("no candidates to choose from")
     if len(models) != len(schema):
         raise ValueError("need exactly one model per objective")
     preds = np.column_stack([cart.predict_many(m, cand_matrix) for m in models])
-    classes, inverse = np.unique(preds, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0 returns a column here
-    weights = np.array(schema.weights, dtype=float)
-    front_mask = nondominated_mask(classes * -weights)
-
-    front_classes = np.nonzero(front_mask)[0]
-    keys = [tuple(classes[ci]) for ci in front_classes]
-    counts = np.bincount(inverse, minlength=classes.shape[0])[front_classes]
-    wins = _class_wins(keys, schema)
-    scores = (wins * counts[None, :]).sum(axis=1)
-
-    best_score = scores.max()
-    winning = set(front_classes[np.nonzero(scores == best_score)[0]].tolist())
-    best_row = None
-    best_id = None
-    for row, cls in enumerate(inverse.tolist()):
-        if cls in winning and (best_id is None or cand_ids[row] < best_id):
-            best_id = cand_ids[row]
-            best_row = row
-    return best_row
+    front = np.nonzero(nondominated_mask(preds * -np.array(schema.weights)))[0]
+    keys, inverse, counts = np.unique(
+        preds[front], axis=0, return_inverse=True, return_counts=True
+    )
+    scores = _class_scores(keys, counts, schema)[inverse.reshape(-1)]
+    best = front[scores == scores.max()]
+    return int(best[np.argmin(np.asarray(cand_ids)[best])])

@@ -3,9 +3,10 @@
 The oracles below re-implement the comparison definitions directly from
 their formulas, in plain Python, without touching the library's dominance
 module. Tests freeze expected values computed by these oracles and compare
-the library against them. reference_class_wins and reference_nondominated_mask
-are the exceptions: the earlier numpy forms of the indicator-wins kernel and
-of the non-dominated filter, kept as their exact references.
+the library against them. reference_class_wins, reference_nondominated_mask
+and reference_pick are the exceptions: the earlier numpy forms of the
+indicator-wins kernel, of the non-dominated filter and of flash's pick,
+kept as their exact references.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from flashopt import cart
 from flashopt.core import (
     DecisionPoint,
     EvaluatedPoint,
@@ -127,6 +129,39 @@ def reference_nondominated_mask(oriented: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
     return mask
+
+
+def reference_pick(cand_matrix, cand_ids, models, schema) -> int:
+    """Flash's pick in its earlier form: np.unique over every predicted row,
+    the filter and the domination scores on the distinct classes, then a
+    loop over all candidates for the lowest-id member of a winning class.
+    The body is the library's former what_to_evaluate_next, with the two
+    kernels it called replaced by their references above."""
+    if len(cand_ids) == 0:
+        raise ValueError("no candidates to choose from")
+    if len(models) != len(schema):
+        raise ValueError("need exactly one model per objective")
+    preds = np.column_stack([cart.predict_many(m, cand_matrix) for m in models])
+    classes, inverse = np.unique(preds, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0 returns a column here
+    weights = np.array(schema.weights, dtype=float)
+    front_mask = reference_nondominated_mask(classes * -weights)
+
+    front_classes = np.nonzero(front_mask)[0]
+    keys = [tuple(classes[ci]) for ci in front_classes]
+    counts = np.bincount(inverse, minlength=classes.shape[0])[front_classes]
+    wins = reference_class_wins(keys, schema)
+    scores = (wins * counts[None, :]).sum(axis=1)
+
+    best_score = scores.max()
+    winning = set(front_classes[np.nonzero(scores == best_score)[0]].tolist())
+    best_row = None
+    best_id = None
+    for row, cls in enumerate(inverse.tolist()):
+        if cls in winning and (best_id is None or cand_ids[row] < best_id):
+            best_id = cand_ids[row]
+            best_row = row
+    return best_row
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

@@ -265,6 +265,20 @@ class TestNondominatedMask:
         rows = np.vstack([rows, [1.0, 2.0, 2.0]])
         assert nondominated_mask(rows).tolist() == [False, True, False, True]
 
+    def test_copies_of_front_vectors_among_covered_rows(self):
+        # Copies of a and b, interleaved with rows they dominate or tie on
+        # all but one axis: exactly the copies are on the front.
+        a, b = [1.0, 3.0, 2.0], [3.0, 1.0, 2.0]
+        rows = np.array([
+            a, [2.0, 4.0, 2.0],  # dominated by a
+            b, [1.0, 3.0, 5.0],  # ties a on all but the last axis
+            a, [3.0, 1.0, 2.5],  # ties b on all but the last axis
+            b, [3.0, 3.0, 3.0],  # dominated by both
+            a, b,
+        ])
+        want = [True, False, True, False, True, False, True, False, True, True]
+        assert nondominated_mask(rows).tolist() == want
+
 
 class TestDominationScore:
     def test_identical_pool_scores_zero(self, min2):

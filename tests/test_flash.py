@@ -1,13 +1,24 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from flashopt import dominance
 from flashopt.cart import fit_arrays
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import front0
 from flashopt.flash import FlashConfig, run_flash, what_to_evaluate_next
 from flashopt.synth import make_synthetic
 
-from conftest import brute_front_partition, brute_indicator_dominates, senses_of
+from conftest import (
+    brute_front_partition,
+    brute_indicator_dominates,
+    reference_pick,
+    senses_of,
+)
 
 
 def grid_problem(n=60, constant=False):
@@ -115,7 +126,66 @@ class TestRunFlash:
             run_flash(prob, prob.pool(), FlashConfig(size0=11))
 
 
+@st.composite
+def tied_picks(draw):
+    """Candidates and trees fitted on decisions from a 0..3 integer grid of
+    1..3 columns, with 1..4 objectives on the same grid under mixed senses:
+    many candidates share a leaf in every tree, so their predicted vectors
+    tie exactly. Candidate ids are distinct and unordered."""
+    f = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    schema = ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+    def grid(rows, cols):
+        return draw(hnp.arrays(np.int8, (rows, cols), elements=st.integers(0, 3))).astype(float)
+
+    x_train = grid(draw(st.integers(1, 30)), f)
+    y_train = grid(x_train.shape[0], m)
+    models = [fit_arrays(x_train, y_train[:, j]) for j in range(m)]
+    n = draw(st.integers(1, 300))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    return grid(n, f), ids, models, schema
+
+
 class TestWhatToEvaluateNext:
+    @given(tied_picks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_pick(self, case):
+        cand_matrix, ids, models, schema = case
+        got = what_to_evaluate_next(cand_matrix, ids, models, schema)
+        assert got == reference_pick(cand_matrix, ids, models, schema)
+
+    def test_tied_front_is_scored_as_one_vector(self, min2, monkeypatch):
+        # Constant models put all 5,000 candidates on the front with one
+        # predicted vector. The front rows must be grouped before scoring,
+        # or the wins matrix would be 5,000 x 5,000.
+        seen = []
+        wins = dominance._class_wins
+
+        def spy(keys, schema):
+            seen.append(len(keys))
+            return wins(keys, schema)
+
+        monkeypatch.setattr(dominance, "_class_wins", spy)
+        ids = random.Random(5).sample(range(100_000), 5_000)
+        matrix = np.arange(5_000.0).reshape(5_000, 1)
+        models = [constant_model(1.0), constant_model(2.0)]
+        row = what_to_evaluate_next(matrix, ids, models, min2)
+        assert seen == [1]
+        assert ids[row] == min(ids)
+
+    def test_front_vectors_weighed_by_their_copies(self):
+        # Indicator wins among these four front vectors: a beats d; b beats
+        # a and c; c beats a; d beats b and c. One copy each, b and d would
+        # tie on 2; with three copies of d, a scores 3 and wins.
+        a, b, c, d = [0.0, 9.0, 6.0], [4.0, 3.0, 7.0], [5.0, 2.0, 9.0], [7.0, 6.0, 2.0]
+        x = np.arange(4.0).reshape(4, 1)
+        models = [fit_arrays(x, np.array([a, b, c, d])[:, j]) for j in range(3)]
+        schema = ObjectiveSchema(("f1", "f2", "f3"), (Sense.MIN,) * 3)
+        cand_matrix = np.array([[1.0], [3.0], [0.0], [3.0], [2.0], [3.0]])
+        assert what_to_evaluate_next(cand_matrix, list(range(6)), models, schema) == 2
+
     def test_single_candidate_returned(self, min2):
         prob = grid_problem(8)
         models = [constant_model(1.0), constant_model(2.0)]
