@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -243,14 +244,39 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    with open(args.in_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.measure not in reader.fieldnames:
-            raise ValueError(f"results file has no '{args.measure}' column")
+def _read_measure(path: str, measure: str) -> dict[str, list[float]]:
+    """Samples of one measure per algorithm from a results file. A missing
+    column, a row of the wrong width, or a non-numeric or non-finite cell
+    is rejected with its path:line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        for name in (measure, "algo"):
+            if name not in header:
+                raise ValueError(f"{path}:1: results file has no '{name}' column")
+        algo_col, col = header.index("algo"), header.index(measure)
         by_algo: dict[str, list[float]] = {}
-        for record in reader:
-            by_algo.setdefault(record["algo"], []).append(float(record[args.measure]))
+        for cells in rows:
+            if not cells:  # a blank line
+                continue
+            where = f"{path}:{rows.line_num}"
+            if len(cells) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+            try:
+                value = float(cells[col])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{where}: non-numeric or non-finite cell '{cells[col]}' "
+                    f"in column {measure}"
+                )
+            by_algo.setdefault(cells[algo_col], []).append(value)
+    return by_algo
+
+
+def _cmd_stats(args) -> int:
+    by_algo = _read_measure(args.in_path, args.measure)
     if args.baseline not in by_algo:
         raise ValueError(f"baseline algorithm {args.baseline!r} not in results")
     groups = sorted(by_algo.items())

@@ -281,3 +281,38 @@ class TestMainStats:
             ["stats", "--in", str(results), "--measure", "gd", "--baseline", "a"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_location(self, tmp_path, capsys, cell):
+        results = tmp_path / "results.csv"
+        results.write_text(
+            f"run,algo,evals,gd,igd,wall_ms\n0,a,5,0.1,0.1,0\n1,a,5,{cell},0.1,0\n",
+            encoding="utf-8",
+        )
+        code = main(["stats", "--in", str(results), "--measure", "gd", "--baseline", "a"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{results}:3: non-numeric or non-finite cell '{cell}' in column gd" in err
+
+    def test_short_row_rejected_with_location(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("run,algo,evals,gd\n0,a,5,0.1\n1,a\n", encoding="utf-8")
+        code = main(["stats", "--in", str(results), "--measure", "gd", "--baseline", "a"])
+        assert code == 1
+        assert f"{results}:3: expected 4 cells, got 2" in capsys.readouterr().err
+
+    def test_missing_algo_column_rejected(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("run,evals,gd\n0,5,0.1\n", encoding="utf-8")
+        code = main(["stats", "--in", str(results), "--measure", "gd", "--baseline", "a"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{results}:1: results file has no 'algo' column" in err
+
+    def test_text_cell_rejected_with_location(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("run,algo,evals,gd\n0,a,5,0.1\n1,b,abc,0.2\n", encoding="utf-8")
+        code = main(["stats", "--in", str(results), "--measure", "evals", "--baseline", "a"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{results}:3: non-numeric or non-finite cell 'abc' in column evals" in err

@@ -138,7 +138,8 @@ def tied_picks(draw):
     schema = ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
 
     def grid(rows, cols):
-        return draw(hnp.arrays(np.int8, (rows, cols), elements=st.integers(0, 3))).astype(float)
+        cells = hnp.arrays(np.int8, (rows, cols), elements=st.integers(0, 3))
+        return draw(cells).astype(float)
 
     x_train = grid(draw(st.integers(1, 30)), f)
     y_train = grid(x_train.shape[0], m)
