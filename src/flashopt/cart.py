@@ -45,14 +45,7 @@ class RegressionTree:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    min_split: int = 2
-    min_leaf: int = 1
-    max_depth: int | None = None
-
-
-def fit_arrays(x: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> RegressionTree:
+def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
     """Fit a tree on n decision rows x (n-by-f) and their targets y (length n)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -68,10 +61,10 @@ def fit_arrays(x: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) 
 
     root = TreeNode(n=int(y.size), prediction=float(y.mean()))
     # Iterative expansion; recursion would overflow on tall degenerate trees.
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(y.size), 0)]
+    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(y.size))]
     while stack:
-        node, idx, depth = stack.pop()
-        split = _best_split(x, y, idx, params, depth)
+        node, idx = stack.pop()
+        split = _best_split(x, y, idx)
         if split is None:
             continue
         feature, threshold = split
@@ -82,20 +75,17 @@ def fit_arrays(x: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) 
         node.threshold = threshold
         node.left = TreeNode(n=int(left_idx.size), prediction=float(y[left_idx].mean()))
         node.right = TreeNode(n=int(right_idx.size), prediction=float(y[right_idx].mean()))
-        stack.append((node.left, left_idx, depth + 1))
-        stack.append((node.right, right_idx, depth + 1))
+        stack.append((node.left, left_idx))
+        stack.append((node.right, right_idx))
     return RegressionTree(root=root, feature_count=x.shape[1], sample_count=int(y.size))
 
 
-def _best_split(x, y, idx, params: TreeParams, depth: int):
+def _best_split(x, y, idx):
     """One pass over all features at once: gains for every (position,
     feature) candidate land in one matrix, and the feature-major argmax
-    keeps the tie-break order of lowest feature, then lowest threshold."""
+    keeps the tie-break order of lowest feature, then lowest threshold.
+    A one-row node stops at the constant-target check."""
     n = idx.size
-    if n < params.min_split:
-        return None
-    if params.max_depth is not None and depth >= params.max_depth:
-        return None
     ysub = y[idx]
     if np.all(ysub == ysub[0]):
         return None
@@ -108,17 +98,13 @@ def _best_split(x, y, idx, params: TreeParams, depth: int):
     xs = np.take_along_axis(sub, order, axis=0)
     ys = ysub[order]
 
-    positions = np.arange(1, n)
     valid = xs[1:] != xs[:-1]  # split only between distinct sorted values
-    valid &= (
-        (positions >= params.min_leaf) & (positions <= n - params.min_leaf)
-    )[:, None]
     if not valid.any():
         return None
 
     csum = np.cumsum(ys, axis=0)
     csq = np.cumsum(ys * ys, axis=0)
-    nl = positions.astype(float)[:, None]
+    nl = np.arange(1.0, n)[:, None]
     sl = csum[:-1]
     ql = csq[:-1]
     sse_left = ql - sl * sl / nl

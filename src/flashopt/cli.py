@@ -59,6 +59,9 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown algorithm(s) {unknown}; choose from {list(ALGORITHMS)}"
             )
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithm(s) {repeated} listed more than once")
 
 
 @dataclass
@@ -131,7 +134,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             else:
                 pool = base.sample_pool(spec.pool, seed_r)
         flash_evals: int | None = None
-        for algo in spec.algorithms:
+        # random runs last so it can match flash's count whatever the order
+        for algo in sorted(spec.algorithms, key=lambda a: a == "random"):
             problem = base.fresh()
             started = time.perf_counter()
             if algo == "flash":

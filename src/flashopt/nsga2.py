@@ -29,13 +29,13 @@ from .core import (
 )
 from .dominance import front0, nondominated_sort
 
+CROSSOVER_PROB = 0.9  # per pair of parents; each gene then mutates with 1 / arity
+
 
 @dataclass(frozen=True)
 class Nsga2Config:
     pop_size: int = 100
     generations: int = 50
-    crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # defaults to 1 / decision arity
     seed: int = 0
 
     def __post_init__(self):
@@ -43,10 +43,6 @@ class Nsga2Config:
             raise ValueError("pop_size must be even and at least 4")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must lie in [0, 1]")
-        if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must lie in [0, 1]")
 
 
 def crowding_distance(
@@ -61,23 +57,18 @@ def crowding_distance(
     dist = np.zeros(n)
     for j in range(len(schema)):
         order = np.argsort(values[:, j], kind="stable")
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        span = values[order[-1], j] - values[order[0], j]
-        if span <= 0:
-            continue
-        for k in range(1, n - 1):
-            if math.isinf(dist[order[k]]):
-                continue
-            gap = values[order[k + 1], j] - values[order[k - 1], j]
-            dist[order[k]] += gap / span
+        col = values[order, j]
+        dist[order[[0, -1]]] = math.inf
+        span = col[-1] - col[0]
+        if span > 0:  # inf + a finite gap stays inf, so boundary points stay inf
+            dist[order[1:-1]] += (col[2:] - col[:-2]) / span
     return [float(d) for d in dist]
 
 
 def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     rng = random.Random(config.seed)
     arity = problem.decision_arity
-    p_mut = config.mutation_prob if config.mutation_prob is not None else 1.0 / arity
+    p_mut = 1.0 / arity
     gene_values = problem.gene_values()
 
     tabular = problem.kind is ProblemKind.TABULAR
@@ -123,9 +114,8 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         next_id += 1
         return point
 
+    _, ranks, crowd = _select(population, config.pop_size, problem.schema)
     for _ in range(config.generations):
-        ranks, crowd = _rank_and_crowd(population, problem.schema)
-
         def tournament() -> EvaluatedPoint:
             a = rng.randrange(config.pop_size)
             b = rng.randrange(config.pop_size)
@@ -139,7 +129,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         for _ in range(config.pop_size // 2):
             p1 = tournament().point.decisions
             p2 = tournament().point.decisions
-            if rng.random() < config.crossover_prob:
+            if rng.random() < CROSSOVER_PROB:
                 c1, c2 = [], []
                 for g1, g2 in zip(p1, p2):
                     if rng.random() < 0.5:
@@ -156,44 +146,50 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
                         child[g] = rng.choice(gene_values[g])
                 offspring.append(problem.evaluate(make_child(child)))
         evaluated.extend(offspring)
-        population = _select(population + offspring, config.pop_size, problem.schema)
+        combined = population + offspring
+        chosen, rank_all, crowd_all = _select(combined, config.pop_size, problem.schema)
+        population = [combined[k] for k in chosen]
+        ranks = [rank_all[k] for k in chosen]
+        crowd = [crowd_all[k] for k in chosen]
 
     best = front0(population, problem.schema)
     return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=[])
 
 
-def _rank_and_crowd(population, schema):
-    partition = nondominated_sort(population, schema)
-    by_eval = {p.eval_index: k for k, p in enumerate(population)}
-    ranks = [0] * len(population)
-    crowd = [0.0] * len(population)
-    for rank, front_ids in enumerate(partition.fronts):
-        members = [by_eval[i] for i in front_ids]
-        dists = crowding_distance([population[k] for k in members], schema)
-        for k, d in zip(members, dists):
-            ranks[k] = rank
-            crowd[k] = d
-    return ranks, crowd
-
-
 def _select(combined, pop_size, schema):
-    """Environmental selection: whole fronts first, the boundary front
-    truncated by descending crowding distance (ties to earliest eval)."""
+    """Environmental selection with one non-dominated sort: whole fronts
+    first, the boundary front truncated by descending crowding distance
+    (ties to earliest eval).
+
+    Returns (chosen, rank, crowd): chosen positions of `combined` in
+    selection order, and the front rank and crowding distance that each
+    chosen position has within the survivors, indexed by position. The
+    survivors keep their fronts when sorted alone, since every member of a
+    front is dominated by some member of the previous, whole front; only a
+    truncated front is crowded again, among its own survivors.
+    """
     partition = nondominated_sort(combined, schema)
-    by_eval = {p.eval_index: p for p in combined}
-    chosen: list[EvaluatedPoint] = []
-    for front_ids in partition.fronts:
-        members = [by_eval[i] for i in front_ids]
-        if len(chosen) + len(members) <= pop_size:
+    position = {p.eval_index: k for k, p in enumerate(combined)}
+    rank = [0] * len(combined)
+    crowd = [0.0] * len(combined)
+    chosen: list[int] = []
+    for r, front_ids in enumerate(partition.fronts):
+        members = [position[i] for i in front_ids]
+        dists = crowding_distance([combined[k] for k in members], schema)
+        room = pop_size - len(chosen)
+        if len(members) > room:
+            ordered = sorted(
+                range(len(members)),
+                key=lambda k: (-dists[k], combined[members[k]].eval_index),
+            )
+            chosen.extend(members[k] for k in ordered[:room])
+            members = [members[k] for k in sorted(ordered[:room])]  # eval order
+            dists = crowding_distance([combined[k] for k in members], schema)
+        else:
             chosen.extend(members)
-            if len(chosen) == pop_size:
-                break
-            continue
-        dists = crowding_distance(members, schema)
-        ordered = sorted(
-            range(len(members)), key=lambda k: (-dists[k], members[k].eval_index)
-        )
-        for k in ordered[: pop_size - len(chosen)]:
-            chosen.append(members[k])
-        break
-    return chosen
+        for k, d in zip(members, dists):
+            rank[k] = r
+            crowd[k] = d
+        if len(chosen) == pop_size:
+            break
+    return chosen, rank, crowd

@@ -6,7 +6,10 @@ module. Tests freeze expected values computed by these oracles and compare
 the library against them. reference_class_wins, reference_nondominated_mask
 and reference_pick are the exceptions: the earlier numpy forms of the
 indicator-wins kernel, of the non-dominated filter and of flash's pick,
-kept as their exact references.
+kept as their exact references. So are reference_crowding_distance,
+reference_rank_and_crowd and reference_select, NSGA-II's earlier
+loop-form crowding and its sort-twice selection over the library's
+nondominated_sort.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from flashopt import cart
+from flashopt.dominance import nondominated_sort
 from flashopt.core import (
     DecisionPoint,
     EvaluatedPoint,
@@ -162,6 +166,68 @@ def reference_pick(cand_matrix, cand_ids, models, schema) -> int:
             best_id = cand_ids[row]
             best_row = row
     return best_row
+
+
+def reference_crowding_distance(front, schema) -> list[float]:
+    """Classic crowding: boundary points get +inf, interior points sum the
+    range-normalized gaps between their sorted neighbors per objective."""
+    if not front:
+        raise ValueError("front must be nonempty")
+    n = len(front)
+    values = np.array([p.objectives.values for p in front], dtype=float)
+    dist = np.zeros(n)
+    for j in range(len(schema)):
+        order = np.argsort(values[:, j], kind="stable")
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
+        span = values[order[-1], j] - values[order[0], j]
+        if span <= 0:
+            continue
+        for k in range(1, n - 1):
+            if math.isinf(dist[order[k]]):
+                continue
+            gap = values[order[k + 1], j] - values[order[k - 1], j]
+            dist[order[k]] += gap / span
+    return [float(d) for d in dist]
+
+
+def reference_rank_and_crowd(population, schema):
+    """Front rank and crowding of every point, by position, from a fresh
+    sort of the population alone."""
+    partition = nondominated_sort(population, schema)
+    by_eval = {p.eval_index: k for k, p in enumerate(population)}
+    ranks = [0] * len(population)
+    crowd = [0.0] * len(population)
+    for rank, front_ids in enumerate(partition.fronts):
+        members = [by_eval[i] for i in front_ids]
+        dists = reference_crowding_distance([population[k] for k in members], schema)
+        for k, d in zip(members, dists):
+            ranks[k] = rank
+            crowd[k] = d
+    return ranks, crowd
+
+
+def reference_select(combined, pop_size, schema):
+    """Environmental selection: whole fronts first, the boundary front
+    truncated by descending crowding distance (ties to earliest eval)."""
+    partition = nondominated_sort(combined, schema)
+    by_eval = {p.eval_index: p for p in combined}
+    chosen: list[EvaluatedPoint] = []
+    for front_ids in partition.fronts:
+        members = [by_eval[i] for i in front_ids]
+        if len(chosen) + len(members) <= pop_size:
+            chosen.extend(members)
+            if len(chosen) == pop_size:
+                break
+            continue
+        dists = reference_crowding_distance(members, schema)
+        ordered = sorted(
+            range(len(members)), key=lambda k: (-dists[k], members[k].eval_index)
+        )
+        for k in ordered[: pop_size - len(chosen)]:
+            chosen.append(members[k])
+        break
+    return chosen
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

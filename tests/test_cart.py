@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashopt.cart import TreeParams, fit_arrays, predict_many, tree_size
+from flashopt.cart import fit_arrays, predict_many, tree_size
 
 
 def four_row_example():
@@ -61,16 +61,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_arrays([[1.0], [1.0, 2.0]], [0.0, 1.0])
 
-    def test_min_leaf_respected(self):
-        tree = fit_arrays(*four_row_example(), TreeParams(min_leaf=2))
-        assert tree.root.threshold == 1.5  # outer thresholds leave a lone sample
-        for node in (tree.root.left, tree.root.right):
-            assert node.n >= 2
-
-    def test_max_depth_zero_forces_leaf(self):
-        tree = fit_arrays(*four_row_example(), TreeParams(max_depth=0))
-        assert tree.root.is_leaf
-
     def test_deterministic(self):
         rng = random.Random(12)
         x = np.array([[rng.choice([0.0, 1.0]), rng.random()] for _ in range(60)])
@@ -92,14 +82,6 @@ class TestFit:
 
 
 class TestTrainingError:
-    def test_smaller_min_split_never_fits_worse(self):
-        x, y = random_data(random.Random(7), 80, 3)
-        splits = (2, 5, 10, 20, 40, 80)
-        trees = [fit_arrays(x, y, TreeParams(min_split=ms)) for ms in splits]
-        errors = [float(((predict_many(t, x) - y) ** 2).sum()) for t in trees]
-        for finer, coarser in zip(errors, errors[1:]):
-            assert finer <= coarser + 1e-9
-
     def test_predictions_stay_within_target_range(self):
         rng = random.Random(8)
         x = np.array([[rng.random(), rng.random()] for _ in range(60)])
@@ -141,7 +123,7 @@ class TestPredict:
         assert predict_many(tree, probes).tolist() == [walk(tree.root, r) for r in probes]
 
 
-def naive_root_split(rows, min_leaf=1):
+def naive_root_split(rows):
     """Reference split finder: plain per-feature loops, lowest feature then
     lowest threshold on gain ties."""
     n = len(rows)
@@ -152,8 +134,8 @@ def naive_root_split(rows, min_leaf=1):
     best_gain = 0.0
     for f in range(len(rows[0][0])):
         ordered = sorted(rows, key=lambda r: r[0][f])
-        for i in range(min_leaf, n - min_leaf + 1):
-            if i == 0 or i == n or ordered[i - 1][0][f] == ordered[i][0][f]:
+        for i in range(1, n):
+            if ordered[i - 1][0][f] == ordered[i][0][f]:
                 continue
             left = [t for _, t in ordered[:i]]
             right = [t for _, t in ordered[i:]]
@@ -210,14 +192,13 @@ class TestFitProperties:
                 min_size=1,
                 max_size=40,
             )
-        ),
-        st.integers(1, 4),
+        )
     )
     @settings(max_examples=150, deadline=None)
-    def test_leaf_means_and_node_count(self, rows, min_leaf):
+    def test_leaf_means_and_node_count(self, rows):
         x = np.array([d for d, _ in rows])
         y = np.array([t for _, t in rows])
-        tree = fit_arrays(x, y, TreeParams(min_leaf=min_leaf))
+        tree = fit_arrays(x, y)
         reached = {}
         for k, row in enumerate(x):
             node = tree.root

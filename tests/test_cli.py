@@ -99,6 +99,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown algorithm"):
             ExperimentSpec(problem="synth:line", algorithms=["simulated_annealing"])
 
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ValueError, match=r"\['flash'\] listed more than once"):
+            ExperimentSpec(problem="synth:line", algorithms=["flash", "flash", "random"])
+
     def test_results_file_deterministic(self, tmp_path):
         out1 = tmp_path / "a" / "results.csv"
         out2 = tmp_path / "b" / "results.csv"
@@ -161,6 +165,27 @@ class TestMainRun:
         stats_out = capsys.readouterr().out
         assert "measure=igd baseline=random" in stats_out
         assert "rank=" in stats_out
+
+    def test_random_matches_flash_whatever_the_order(self, tmp_path):
+        outs = []
+        for order in ("flash,random", "random,flash"):
+            out = tmp_path / order.replace(",", "_") / "results.csv"
+            argv = ["run", "--problem", "synth:step", "--algo", order,
+                    "--repeats", "2", "--pool", "200", "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = [ln.split(",") for ln in outs[1].read_text().splitlines()[1:]]
+        evals = {(run, algo): int(n) for run, algo, n, *_ in rows}
+        for run in ("0", "1"):
+            assert evals[(run, "random")] == evals[(run, "flash")]
+
+    def test_repeated_algorithm_exits_1(self, tmp_path, capsys):
+        argv = ["run", "--problem", "synth:step", "--algo", "flash,flash,random",
+                "--pool", "200", "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        assert "listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_tree_subcommand(self, tmp_path, capsys):
         out = tmp_path / "results.csv"

@@ -2,14 +2,29 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flashopt.core import ObjectiveSchema, Problem, Sense
+from flashopt import nsga2
+from flashopt.core import (
+    DecisionPoint,
+    EvaluatedPoint,
+    ObjectiveSchema,
+    ObjectiveVector,
+    Problem,
+    Sense,
+)
 from flashopt.dominance import binary_dominates, front0
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
 from flashopt.nsga2 import Nsga2Config, crowding_distance, run_nsga2
 from flashopt.synth import make_synthetic
 
-from conftest import make_points
+from conftest import (
+    make_points,
+    reference_crowding_distance,
+    reference_rank_and_crowd,
+    reference_select,
+)
 
 
 def line_problem(n=1001):
@@ -92,8 +107,18 @@ class TestRunNsga2:
             Nsga2Config(pop_size=5)
         with pytest.raises(ValueError):
             Nsga2Config(generations=0)
-        with pytest.raises(ValueError):
-            Nsga2Config(crossover_prob=1.5)
+
+    def test_one_sort_per_generation(self, monkeypatch):
+        calls = []
+        real = nsga2.nondominated_sort
+
+        def counting(points, schema):
+            calls.append(len(points))
+            return real(points, schema)
+
+        monkeypatch.setattr(nsga2, "nondominated_sort", counting)
+        run_nsga2(make_synthetic("sphere2", 300), Nsga2Config(12, 5, seed=3))
+        assert calls == [12] + [24] * 5
 
     def test_final_front_spans_wider_extremes_than_start(self):
         # On the (x, 1-x) trade-off the crowding pressure should widen the
@@ -126,3 +151,43 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=3, seed=8))
         for e in res.evaluated:
             assert e.point.decisions in rows
+
+
+@st.composite
+def selection_cases(draw):
+    """1-4 objectives of mixed sense on a 0..3 grid (so fronts share values
+    and crowding ties are common), eval_index shuffled against position,
+    and an even survivor count no larger than the population."""
+    m = draw(st.integers(1, 4))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    schema = ObjectiveSchema(tuple(f"f{j}" for j in range(m)), tuple(senses))
+    n = draw(st.integers(4, 120))
+    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    vectors = draw(
+        st.lists(st.tuples(*[grid] * m), min_size=n, max_size=n)
+    )
+    evals = draw(st.permutations(range(n)))
+    points = [
+        EvaluatedPoint(DecisionPoint(k, (float(k),)), ObjectiveVector(v), e)
+        for k, (v, e) in enumerate(zip(vectors, evals))
+    ]
+    pop_size = 2 * draw(st.integers(1, n // 2))
+    return points, pop_size, schema
+
+
+class TestSelectAgainstReference:
+    @given(selection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_sort_matches_sort_twice(self, case):
+        points, pop_size, schema = case
+        chosen, rank, crowd = nsga2._select(points, pop_size, schema)
+        survivors = reference_select(points, pop_size, schema)
+        assert [points[k].eval_index for k in chosen] == [
+            p.eval_index for p in survivors
+        ]
+        want_rank, want_crowd = reference_rank_and_crowd(survivors, schema)
+        assert [rank[k] for k in chosen] == want_rank
+        assert [crowd[k] for k in chosen] == want_crowd
+        assert crowding_distance(points, schema) == reference_crowding_distance(
+            points, schema
+        )
