@@ -33,6 +33,7 @@ COMMON = [
 ]
 CASES = {
     "step": ["--problem", "synth:step", "--pool", "120"],
+    "step_small": ["--problem", "synth:step", "--pool", "24"],
     "monrp": ["--problem", "monrp:12-3-2-20-50", "--pool", "120"],
     "tabular": ["--problem", str(GOLDEN / "table.csv"), "--pool", "60"],
 }
