@@ -164,10 +164,14 @@ def nondominated_sort(
     d = len(keys)
     oriented = oriented_matrix(keys, schema)
 
-    # d x d matrix: dominates[i, j] iff class i binary-dominates class j
-    a = oriented[:, None, :]
-    b = oriented[None, :, :]
-    dominates = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    # d x d matrix: dominates[i, j] iff class i binary-dominates class j,
+    # built one objective column at a time
+    no_worse = np.ones((d, d), dtype=bool)
+    better = np.zeros((d, d), dtype=bool)
+    for col in oriented.T:
+        no_worse &= col[:, None] <= col[None, :]
+        better |= col[:, None] < col[None, :]
+    dominates = no_worse & better
     dom_count = dominates.sum(axis=0)
 
     remaining = np.ones(d, dtype=bool)

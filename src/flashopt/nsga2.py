@@ -4,7 +4,8 @@ crowding-distance truncation over a fixed generation budget.
 Offspring come from binary tournaments, uniform crossover, and per-gene
 mutation that resamples from the gene's valid value set. On tabular
 problems every child is snapped to the nearest not-yet-evaluated pool row
-so evaluations stay real measurements; generative problems repair children
+(the nearest row of all, once every row is taken) so evaluations stay real
+measurements; generative problems repair children
 through their own repair hook. The evaluation budget is exact:
 pop_size * (generations + 1).
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .core import (
     RunResult,
     min_max_scale,
 )
-from .dominance import front0, nondominated_sort
+from .dominance import _ordered_sum, front0, nondominated_sort
 
 CROSSOVER_PROB = 0.9  # per pair of parents; each gene then mutates with 1 / arity
 
@@ -65,6 +66,40 @@ def crowding_distance(
     return [float(d) for d in dist]
 
 
+def pool_snapper(
+    table: np.ndarray, used: Sequence[int]
+) -> Callable[[Sequence[float]], int]:
+    """Snap function over a decision table's rows: each call returns the row
+    nearest to the decisions after min-max scaling, lowest index on ties,
+    among rows not yet returned or in used, or among all rows once none is.
+
+    One contiguous array and one buffer per column; taken rows carry an inf
+    penalty on the first term, and the terms are added in numpy's own order
+    (_ordered_sum), so each distance equals ((scaled - vec) ** 2).sum(axis=1).
+    """
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    cols = [np.ascontiguousarray(c) for c in min_max_scale(table, lo, hi).T]
+    terms = [np.empty(len(table)) for _ in cols]
+    penalty = np.zeros(len(table))
+    penalty[list(used)] = np.inf
+    open_rows = int(np.count_nonzero(penalty == 0))
+
+    def snap(decisions: Sequence[float]) -> int:
+        nonlocal open_rows
+        vec = min_max_scale(np.array(decisions, dtype=float), lo, hi)
+        for col, term, v in zip(cols, terms, vec):
+            np.square(np.subtract(col, v, out=term), out=term)
+        if open_rows:
+            terms[0] += penalty
+        row = int(np.argmin(_ordered_sum(terms)))  # first minimum: lowest row
+        if penalty[row] == 0:
+            penalty[row] = np.inf
+            open_rows -= 1
+        return row
+
+    return snap
+
+
 def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     rng = random.Random(config.seed)
     arity = problem.decision_arity
@@ -77,15 +112,10 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
             raise ValueError(
                 f"pop_size {config.pop_size} exceeds pool of {problem.pool_size}"
             )
-        table = problem.decision_matrix()
-        lo, hi = table.min(axis=0), table.max(axis=0)
-        table_norm = min_max_scale(table, lo, hi)
         rows = problem.pool()
-        unused = np.ones(len(rows), dtype=bool)
         start = rng.sample(range(len(rows)), config.pop_size)
         points = [rows[i] for i in start]
-        for i in start:
-            unused[i] = False
+        snap = pool_snapper(problem.decision_matrix(), start)
     else:
         points = [
             DecisionPoint(i, problem.sample_decisions(rng))
@@ -96,19 +126,10 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     population = [problem.evaluate(p) for p in points]
     evaluated = list(population)
 
-    def snap(decisions: tuple[float, ...]) -> DecisionPoint:
-        vec = min_max_scale(np.array(decisions, dtype=float), lo, hi)
-        d = ((table_norm - vec) ** 2).sum(axis=1)
-        if unused.any():
-            d = np.where(unused, d, np.inf)
-        row = int(np.argmin(d))  # first minimum, so ties go to the lowest id
-        unused[row] = False
-        return rows[row]
-
     def make_child(decisions: list[float]) -> DecisionPoint:
         nonlocal next_id
         if tabular:
-            return snap(tuple(decisions))
+            return rows[snap(decisions)]
         repaired = problem.repair(tuple(decisions))
         point = DecisionPoint(next_id, repaired)
         next_id += 1

@@ -9,7 +9,9 @@ indicator-wins kernel, of the non-dominated filter and of flash's pick,
 kept as their exact references. So are reference_crowding_distance,
 reference_rank_and_crowd and reference_select, NSGA-II's earlier
 loop-form crowding and its sort-twice selection over the library's
-nondominated_sort.
+nondominated_sort, and reference_nondominated_sort and reference_snap, the
+earlier (d, d, m) form of that sort and NSGA-II's earlier snapping of
+children to pool rows.
 """
 
 from __future__ import annotations
@@ -21,13 +23,19 @@ import numpy as np
 import pytest
 
 from flashopt import cart
-from flashopt.dominance import nondominated_sort
+from flashopt.dominance import (
+    FrontPartition,
+    _distinct_classes,
+    nondominated_sort,
+    oriented_matrix,
+)
 from flashopt.core import (
     DecisionPoint,
     EvaluatedPoint,
     ObjectiveSchema,
     ObjectiveVector,
     Sense,
+    min_max_scale,
 )
 
 
@@ -228,6 +236,63 @@ def reference_select(combined, pop_size, schema):
             chosen.append(members[k])
         break
     return chosen
+
+
+def reference_nondominated_sort(points, schema) -> FrontPartition:
+    """Fast non-dominated sort with its dominance matrix built from
+    (d, d, m) comparisons in one step."""
+    if not points:
+        raise ValueError("cannot sort an empty point list")
+    ids = [p.eval_index for p in points]
+    if len(set(ids)) != len(ids):
+        raise ValueError("eval_index values must be unique")
+    keys, members = _distinct_classes(points)
+    d = len(keys)
+    oriented = oriented_matrix(keys, schema)
+
+    # d x d matrix: dominates[i, j] iff class i binary-dominates class j
+    a = oriented[:, None, :]
+    b = oriented[None, :, :]
+    dominates = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    dom_count = dominates.sum(axis=0)
+
+    remaining = np.ones(d, dtype=bool)
+    fronts: list[tuple[int, ...]] = []
+    while remaining.any():
+        current = remaining & (dom_count == 0)
+        if not current.any():
+            raise AssertionError("dominance relation produced a cycle")
+        front_ids = sorted(
+            points[k].eval_index
+            for ci in np.nonzero(current)[0]
+            for k in members[ci]
+        )
+        fronts.append(tuple(front_ids))
+        remaining &= ~current
+        dom_count = dom_count - dominates[current].sum(axis=0)
+    return FrontPartition(tuple(fronts))
+
+
+def reference_snap(table, used, children) -> list[int]:
+    """NSGA-II's snapping of children to pool rows in its closure form:
+    min-max scale, full squared-distance rows summed over axis 1, used rows
+    masked to inf while any row is unused, first minimum. Returns the row
+    each child in turn snaps to; used lists the rows taken beforehand."""
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    table_norm = min_max_scale(table, lo, hi)
+    unused = np.ones(len(table), dtype=bool)
+    for i in used:
+        unused[i] = False
+    out = []
+    for decisions in children:
+        vec = min_max_scale(np.array(decisions, dtype=float), lo, hi)
+        d = ((table_norm - vec) ** 2).sum(axis=1)
+        if unused.any():
+            d = np.where(unused, d, np.inf)
+        row = int(np.argmin(d))  # first minimum, so ties go to the lowest id
+        unused[row] = False
+        out.append(row)
+    return out
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

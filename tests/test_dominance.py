@@ -31,6 +31,7 @@ from conftest import (
     make_points,
     reference_class_wins,
     reference_nondominated_mask,
+    reference_nondominated_sort,
     senses_of,
 )
 
@@ -171,6 +172,18 @@ class TestPartialOrder:
             assert not binary_dominates(x, x, schema)
 
 
+@st.composite
+def grid_sets(draw, min_size=0):
+    """min_size..200 vectors of 1..6 objectives under mixed senses, on a 0..3
+    integer grid, so exact ties on some axes and duplicate rows are common."""
+    m = draw(st.integers(1, 6))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    n = draw(st.integers(min_size, 200))
+    grid = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3)))
+    vectors = [tuple(map(float, row)) for row in grid.tolist()]
+    return vectors, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
 class TestNondominatedSort:
     def test_mutually_incomparable_single_front(self, min2):
         points = make_points([(0, 2), (1, 1), (2, 0)])
@@ -200,24 +213,23 @@ class TestNondominatedSort:
             got = [list(f) for f in nondominated_sort(points, schema).fronts]
             assert got == brute_front_partition(vectors, ["min"] * k)
 
+    @given(grid_sets(min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_and_brute_partition(self, case):
+        vectors, schema = case
+        points = make_points(vectors)
+        partition = nondominated_sort(points, schema)
+        assert partition == reference_nondominated_sort(points, schema)
+        assert [list(f) for f in partition.fronts] == brute_front_partition(
+            vectors, senses_of(schema)
+        )
+
     def test_front0_agrees_with_partition(self, rng):
         schema = schema_for(3)
         vectors = [tuple(rng.random() for _ in range(3)) for _ in range(80)]
         points = make_points(vectors)
         ids = [p.eval_index for p in front0(points, schema)]
         assert tuple(ids) == nondominated_sort(points, schema).fronts[0]
-
-
-@st.composite
-def grid_sets(draw):
-    """0..200 vectors of 1..6 objectives under mixed senses, on a 0..3
-    integer grid, so exact ties on some axes and duplicate rows are common."""
-    m = draw(st.integers(1, 6))
-    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
-    n = draw(st.integers(0, 200))
-    grid = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3)))
-    vectors = [tuple(map(float, row)) for row in grid.tolist()]
-    return vectors, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
 
 
 class TestNondominatedMask:

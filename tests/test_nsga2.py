@@ -1,9 +1,11 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flashopt import nsga2
 from flashopt.core import (
@@ -16,7 +18,7 @@ from flashopt.core import (
 )
 from flashopt.dominance import binary_dominates, front0
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
-from flashopt.nsga2 import Nsga2Config, crowding_distance, run_nsga2
+from flashopt.nsga2 import Nsga2Config, crowding_distance, pool_snapper, run_nsga2
 from flashopt.synth import make_synthetic
 
 from conftest import (
@@ -24,6 +26,7 @@ from conftest import (
     reference_crowding_distance,
     reference_rank_and_crowd,
     reference_select,
+    reference_snap,
 )
 
 
@@ -191,3 +194,31 @@ class TestSelectAgainstReference:
         assert crowding_distance(points, schema) == reference_crowding_distance(
             points, schema
         )
+
+
+@st.composite
+def snap_cases(draw):
+    """A table of 1-12 decision columns on a 0..3 grid, so duplicate rows
+    and distance ties are common, sometimes with a zero-span column; rows
+    taken beforehand; and more children than the table has rows, on a
+    half-step grid that reaches past the table's range, so the pool runs
+    out and the snap falls back to used rows."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    table = draw(hnp.arrays(np.int8, (n, k), elements=st.integers(0, 3)))
+    table = table.astype(float)
+    if draw(st.booleans()):
+        table[:, draw(st.integers(0, k - 1))] = 2.0
+    used = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    count = n + draw(st.integers(1, 8))
+    children = draw(hnp.arrays(np.int8, (count, k), elements=st.integers(-1, 8)))
+    return table, used, [tuple(row) for row in (children / 2.0).tolist()]
+
+
+class TestPoolSnapper:
+    @given(snap_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_as_reference(self, case):
+        table, used, children = case
+        snap = pool_snapper(table, used)
+        assert [snap(c) for c in children] == reference_snap(table, used, children)
