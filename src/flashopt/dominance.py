@@ -164,8 +164,7 @@ def nondominated_sort(
     d = len(keys)
     oriented = oriented_matrix(keys, schema)
 
-    # d x d matrix: dominates[i, j] iff class i binary-dominates class j,
-    # built one objective column at a time
+    # d x d matrix: dominates[i, j] iff class i binary-dominates class j
     no_worse = np.ones((d, d), dtype=bool)
     better = np.zeros((d, d), dtype=bool)
     for col in oriented.T:

@@ -5,9 +5,8 @@ Offspring come from binary tournaments, uniform crossover, and per-gene
 mutation that resamples from the gene's valid value set. On tabular
 problems every child is snapped to the nearest not-yet-evaluated pool row
 (the nearest row of all, once every row is taken) so evaluations stay real
-measurements; generative problems repair children
-through their own repair hook. The evaluation budget is exact:
-pop_size * (generations + 1).
+measurements; generative problems repair children through their own repair
+hook. The evaluation budget is exact: pop_size * (generations + 1).
 """
 
 from __future__ import annotations
