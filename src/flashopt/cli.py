@@ -21,7 +21,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import Problem, ProblemKind, RunResult, Sense, load_tabular
+import numpy as np
+
+from .core import EvaluatedPoint, Problem, ProblemKind, RunResult, Sense, load_tabular
 from .dominance import front0
 from .flash import FlashConfig, run_flash
 from .metrics import ReferenceFront, gd, igd, reference_front
@@ -90,12 +92,13 @@ def run_random(problem: Problem, budget: int, seed: int) -> RunResult:
         raise ValueError("budget must be at least 1")
     points = problem.sample_pool(budget, seed)
     evaluated = [problem.evaluate(p) for p in points]
-    return RunResult(
-        evaluated=evaluated,
-        best=front0(evaluated, problem.schema),
-        evals=len(evaluated),
-        trace=[],
-    )
+    best = [evaluated[k] for k in front0(_objectives(evaluated), problem.schema)]
+    return RunResult(evaluated=evaluated, best=best, evals=len(evaluated))
+
+
+def _objectives(evaluated: list[EvaluatedPoint]) -> np.ndarray:
+    """Objective matrix of evaluated points, row k for point k."""
+    return np.array([ev.objectives.values for ev in evaluated], dtype=float)
 
 
 def build_problem(source: str, pool_n: int, base_seed: int) -> Problem:
@@ -157,14 +160,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             walls[(r, algo)] = (time.perf_counter() - started) * 1000.0
             results[(r, algo)] = result
 
-    all_best = [
-        ev.objectives for res in results.values() for ev in res.best
-    ]
-    ref = reference_front(all_best, base.schema)
+    all_best = [ev for res in results.values() for ev in res.best]
+    ref = reference_front(_objectives(all_best), base.schema)
 
     rows = []
     for (r, algo), res in sorted(results.items()):
-        solutions = [ev.objectives for ev in res.best]
+        solutions = _objectives(res.best)
         rows.append(
             ResultRow(
                 run=r,
@@ -240,8 +241,10 @@ def _cmd_tree(args) -> int:
     if not dump.exists():
         raise FileNotFoundError(f"no stored run at {dump}")
     problem = load_tabular(dump)
-    points = [problem.evaluate(p) for p in problem.pool()]
-    dt = build_domination_tree(points, problem.schema, problem.decision_names)
+    y = _objectives([problem.evaluate(p) for p in problem.pool()])
+    dt = build_domination_tree(
+        problem.decision_matrix(), y, problem.schema, problem.decision_names
+    )
     print(render(dt))
     nodes, leaves = tree_stats(dt)
     print(f"nodes={nodes} leaves={leaves}")

@@ -8,26 +8,29 @@ Two families of comparison are used throughout the toolkit:
   M(x, y) = sum_j -e^(w_j (x_j - y_j) / n) / n with w_j = -1 for minimized
   and +1 for maximized objectives; x dominates y when M(y, x) > M(x, y).
   Used to compare sway's poles, to rank flash's predictions and to count
-  domination scores. One kernel, _class_wins, decides it for every pair of
-  a set of vectors; the two-vector predicate is its smallest case. It
-  works in row tiles over the upper triangle of the pair matrix, computes
-  both directions of each pair from one set of per-objective differences,
-  and adds each pair's m exponentials in the order numpy's own sum would,
-  so its verdicts are bit-identical to the plain (d, d, m) formulation.
+  domination scores. One kernel, _win_tiles, decides it for every pair of
+  a set of vectors; _class_wins gathers its verdicts into a matrix and
+  _class_scores into scores, and the two-vector predicate is its smallest
+  case. It works in row tiles over the upper triangle of the pair matrix,
+  computes both directions of each pair from one set of per-objective
+  differences, and adds each pair's m exponentials in the order numpy's
+  own sum would, so its verdicts are bit-identical to the plain (d, d, m)
+  formulation.
 
-Objective arguments may be ObjectiveVector instances or plain sequences of
-floats; both are compared against the given schema.
+Set-level kernels take one (n, m) objective matrix, row k the k-th
+point of the set, and answer in row indices. The pairwise predicates take
+two vectors, ObjectiveVector instances or plain sequences of floats; both
+are compared against the given schema.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import EvaluatedPoint, ObjectiveSchema, ObjectiveVector, Sense
+from .core import ObjectiveSchema, Sense
 
 # Rows per tile of the indicator-wins kernel.
 _TILE_ROWS = 32
@@ -35,23 +38,17 @@ _TILE_ROWS = 32
 
 @dataclass(frozen=True)
 class FrontPartition:
-    """Fronts of evaluation ids (eval_index), best front first.
+    """Fronts of row indices, best front first.
 
-    Front 0 is the non-dominated set; no point in a later front binary-
-    dominates a point in an earlier one; within a front ids ascend.
+    Front 0 is the non-dominated set; no row in a later front binary-
+    dominates a row in an earlier one; within a front rows ascend.
     """
 
     fronts: tuple[tuple[int, ...], ...]
 
 
-def _values(x) -> tuple[float, ...]:
-    if isinstance(x, ObjectiveVector):
-        return x.values
-    return tuple(float(v) for v in x)
-
-
 def _pair(x, y, schema: ObjectiveSchema) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    xs, ys = _values(x), _values(y)
+    xs, ys = tuple(map(float, x)), tuple(map(float, y))
     if len(xs) != len(schema) or len(ys) != len(schema):
         raise ValueError(
             f"objective length mismatch: {len(xs)}, {len(ys)} vs schema {len(schema)}"
@@ -93,19 +90,17 @@ def indicator_dominates(x, y, schema: ObjectiveSchema) -> bool:
     return bool(_class_wins([xs, ys], schema)[0, 1])
 
 
-def _matrix(vectors: Sequence, schema: ObjectiveSchema) -> np.ndarray:
-    if len(vectors) == 0:
-        return np.empty((0, len(schema)))
-    arr = np.array([_values(v) for v in vectors], dtype=float)
-    if arr.shape[1] != len(schema):
+def _matrix(y, schema: ObjectiveSchema) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != len(schema):
         raise ValueError("objective length mismatch against schema")
-    return arr
+    return y
 
 
-def oriented_matrix(vectors: Sequence, schema: ObjectiveSchema) -> np.ndarray:
+def oriented_matrix(y, schema: ObjectiveSchema) -> np.ndarray:
     """Objective rows recast so that smaller is better on every axis."""
     signs = np.array([1.0 if s is Sense.MIN else -1.0 for s in schema.senses])
-    return _matrix(vectors, schema) * signs
+    return _matrix(y, schema) * signs
 
 
 def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
@@ -137,30 +132,17 @@ def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _distinct_classes(points: Sequence[EvaluatedPoint]):
-    """Group points by exact objective vector, first-appearance order."""
-    classes: dict[tuple[float, ...], list[int]] = {}
-    for k, p in enumerate(points):
-        classes.setdefault(p.objectives.values, []).append(k)
-    keys = list(classes.keys())
-    members = [classes[k] for k in keys]
-    return keys, members
-
-
-def nondominated_sort(
-    points: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> FrontPartition:
-    """Fast non-dominated sort into fronts of eval_index ids.
+def nondominated_sort(y, schema: ObjectiveSchema) -> FrontPartition:
+    """Fast non-dominated sort of the rows of y into fronts.
 
     Dominance is computed once per distinct objective vector; duplicate
-    vectors always land in the same front. Within a front, ids ascend.
+    vectors always land in the same front. Within a front, rows ascend.
     """
-    if not points:
-        raise ValueError("cannot sort an empty point list")
-    ids = [p.eval_index for p in points]
-    if len(set(ids)) != len(ids):
-        raise ValueError("eval_index values must be unique")
-    keys, members = _distinct_classes(points)
+    y = _matrix(y, schema)
+    if len(y) == 0:
+        raise ValueError("cannot sort an empty set")
+    keys, inverse = np.unique(y, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
     d = len(keys)
     oriented = oriented_matrix(keys, schema)
 
@@ -179,91 +161,92 @@ def nondominated_sort(
         current = remaining & (dom_count == 0)
         if not current.any():
             raise AssertionError("dominance relation produced a cycle")
-        front_ids = sorted(
-            points[k].eval_index
-            for ci in np.nonzero(current)[0]
-            for k in members[ci]
-        )
-        fronts.append(tuple(front_ids))
+        fronts.append(tuple(np.flatnonzero(current[inverse]).tolist()))
         remaining &= ~current
         dom_count = dom_count - dominates[current].sum(axis=0)
     return FrontPartition(tuple(fronts))
 
 
-def front0(
-    points: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> list[EvaluatedPoint]:
-    """The non-dominated subset, ordered by ascending eval_index."""
-    if not points:
-        raise ValueError("cannot take the front of an empty point list")
-    mask = nondominated_mask(oriented_matrix([p.objectives for p in points], schema))
-    return sorted(
-        (p for p, keep in zip(points, mask) if keep), key=lambda p: p.eval_index
-    )
+def front0(y, schema: ObjectiveSchema) -> np.ndarray:
+    """Ascending indices of the non-dominated rows of y."""
+    y = _matrix(y, schema)
+    if len(y) == 0:
+        raise ValueError("cannot take the front of an empty set")
+    return np.flatnonzero(nondominated_mask(oriented_matrix(y, schema)))
 
 
-def domination_scores(
-    points: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> list[int]:
-    """Domination score of every point: how many other points of the list
-    it indicator-dominates.
+def domination_scores(y, schema: ObjectiveSchema) -> np.ndarray:
+    """Domination score of every row: how many other rows of y it
+    indicator-dominates.
 
-    Points are grouped by exact objective vector with a dict, which for a
-    list of points is cheaper than np.unique; _class_scores then scores
-    each distinct vector once, and every member of a group shares its
-    score. Equal vectors never dominate each other.
+    Rows are grouped by exact objective vector; _class_scores scores each
+    distinct vector once, and every member of a group shares its score.
+    Equal vectors never dominate each other.
     """
-    if not points:
-        return []
-    keys, members = _distinct_classes(points)
-    class_scores = _class_scores(keys, np.array([len(m) for m in members]), schema)
-    out = [0] * len(points)
-    for ci, ms in enumerate(members):
-        for k in ms:
-            out[k] = int(class_scores[ci])
-    return out
+    y = _matrix(y, schema)
+    keys, inverse, counts = np.unique(y, axis=0, return_inverse=True, return_counts=True)
+    return _class_scores(keys, counts, schema)[inverse.reshape(-1)]
 
 
-def _class_scores(
-    keys: Sequence, counts: np.ndarray, schema: ObjectiveSchema
-) -> np.ndarray:
+def _class_scores(keys, counts: np.ndarray, schema: ObjectiveSchema) -> np.ndarray:
     """Domination score of each distinct vector: counts[j] summed over the
-    vectors j it indicator-dominates, one row tile of wins at a time so no
-    d x d integer matrix is built; counts[j] is how many points share j."""
-    wins = _class_wins(keys, schema)
-    scores = np.empty(len(keys), dtype=counts.dtype)
-    for a in range(0, len(keys), _TILE_ROWS):
-        block = slice(a, a + _TILE_ROWS)
-        scores[block] = (wins[block] * counts).sum(axis=1)
+    vectors j it indicator-dominates; counts[j] is how many points share j.
+
+    Each tile of _win_tiles adds its row wins into rows [a, b) and its
+    column wins into columns [a, d), so no d x d matrix is built. The
+    pairs inside the tile are already in beats, so they are cleared from
+    beaten first. Integer sums make this exact.
+    """
+    scores = np.zeros(len(keys), dtype=counts.dtype)
+    for a, b, beats, beaten in _win_tiles(keys, schema):
+        beaten[:, : b - a] = False
+        scores[a:b] += beats @ counts[a:]
+        scores[a:] += counts[a:b] @ beaten
     return scores
 
 
-def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> np.ndarray:
-    """wins[i, j] iff vector i indicator-dominates vector j.
+def _class_wins(keys, schema: ObjectiveSchema) -> np.ndarray:
+    """wins[i, j] iff vector i indicator-dominates vector j."""
+    d = len(keys)
+    wins = np.zeros((d, d), dtype=bool)
+    for a, b, beats, beaten in _win_tiles(keys, schema):
+        wins[a:b, a:] = beats
+        wins[a:, a:b] |= beaten.T
+    return wins
+
+
+def _win_tiles(keys, schema: ObjectiveSchema):
+    """Indicator wins among the rows of keys, one tile at a time.
+
+    Yields (a, b, beats, beaten) for rows [a, b) against columns [a, d):
+    beats[i, j] iff row a+i indicator-dominates row a+j, and beaten[i, j]
+    iff row a+j indicator-dominates row a+i. Both arrays are overwritten
+    by the next tile.
 
     Computed as sum(e^delta) > sum(e^-delta) with delta = w (x_i - x_j) / m,
     both sides rescaled by a common factor when the exponents would
     overflow; rescaling by a positive constant cannot change the comparison.
 
-    Works in tiles of _TILE_ROWS rows over the upper triangle, rows [a, b)
-    against columns [a, d), with one 2-D buffer per objective. Each tile
-    yields both directions: forward = sum_k e^(delta_k - shift) and
-    backward = sum_k e^(-shift - delta_k). delta is exactly antisymmetric,
-    the shift depends on |delta| only and IEEE addition commutes, so
-    backward is, float for float, the forward sum of the reversed pair.
-    The m terms are added in the order numpy's sum over a contiguous axis
-    uses (_ordered_sum), so every verdict is bit-identical to summing a
-    (d, d, m) array of exponentials along its last axis.
+    Tiles hold _TILE_ROWS rows over the upper triangle, with one 2-D
+    buffer per objective. Each tile yields both directions: forward =
+    sum_k e^(delta_k - shift) and backward = sum_k e^(-shift - delta_k).
+    delta is exactly antisymmetric, the shift depends on |delta| only and
+    IEEE addition commutes, so backward is, float for float, the forward
+    sum of the reversed pair. The m terms are added in the order numpy's
+    sum over a contiguous axis uses (_ordered_sum), so every verdict is
+    bit-identical to summing a (d, d, m) array of exponentials along its
+    last axis.
     """
     m = len(schema)
     signed = _matrix(keys, schema) * np.array(schema.weights, dtype=float)
     d = signed.shape[0]
-    wins = np.zeros((d, d), dtype=bool)
     cols = np.ascontiguousarray(signed.T)
     rows = min(d, _TILE_ROWS)
     delta_buf = np.empty((m, rows * d))
     term_buf = np.empty((m, rows * d))
     shift_buf = np.empty(rows * d)
+    beats_buf = np.empty(rows * d, dtype=bool)
+    beaten_buf = np.empty(rows * d, dtype=bool)
     for a in range(0, d, _TILE_ROWS):
         b = min(d, a + _TILE_ROWS)
         shape = (b - a, d - a)
@@ -286,9 +269,9 @@ def _class_wins(keys: Sequence[tuple[float, ...]], schema: ObjectiveSchema) -> n
         for k in range(m):
             np.exp(np.subtract(shift, delta[k], out=delta[k]), out=delta[k])
         backward = _ordered_sum(delta)
-        np.less(backward, forward, out=wins[a:b, a:])
-        wins[a:, a:b] |= (forward < backward).T
-    return wins
+        beats = np.less(backward, forward, out=beats_buf[:size].reshape(shape))
+        beaten = np.less(forward, backward, out=beaten_buf[:size].reshape(shape))
+        yield a, b, beats, beaten
 
 
 def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:

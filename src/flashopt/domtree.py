@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cart
-from .core import EvaluatedPoint, ObjectiveSchema
+from .core import ObjectiveSchema
 from .dominance import domination_scores
 
 
@@ -34,20 +34,19 @@ class DominationTree:
 
 
 def build_domination_tree(
-    evaluated: Sequence[EvaluatedPoint],
+    x: np.ndarray,
+    y: np.ndarray,
     schema: ObjectiveSchema,
     names: Sequence[str],
 ) -> DominationTree:
-    """Fit the score-summarizing tree over the evaluated examples."""
-    evaluated = list(evaluated)
-    if len(evaluated) < 2:
+    """Fit the score-summarizing tree over the evaluated examples: row k
+    of the decision matrix x and of the objective matrix y is example k."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 2:
         raise ValueError("need at least 2 evaluated points")
-    if len(names) != len(evaluated[0].point.decisions):
+    if len(names) != x.shape[1]:
         raise ValueError("one name per decision column required")
-    scores = domination_scores(evaluated, schema)
-    x = np.array([ev.point.decisions for ev in evaluated], dtype=float)
-    y = np.array(scores, dtype=float)
-    tree = cart.fit_arrays(x, y)
+    tree = cart.fit_arrays(x, domination_scores(y, schema).astype(float))
     return DominationTree(
         tree=tree, decision_names=tuple(names), best_path=_best_path(tree)
     )

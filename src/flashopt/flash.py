@@ -20,6 +20,7 @@ import numpy as np
 from . import cart
 from .core import (
     DecisionPoint,
+    EvaluatedPoint,
     IterationRecord,
     ObjectiveSchema,
     Problem,
@@ -44,55 +45,56 @@ class FlashConfig:
 def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConfig) -> RunResult:
     """Optimize over a finite candidate pool.
 
-    Stagnation is judged by id-set equality of the non-dominated front
-    before and after each new evaluation; a new point that joins or
-    reshapes the front costs no life.
+    Row k of the run's objective matrix y is its k-th evaluation, of pool
+    row rows[k]. A new evaluation costs a life iff it is off the front of
+    the best rows plus itself, that is, iff a member of that front
+    dominates it; one that joins or reshapes the front costs none.
     """
     pool = list(pool)
     if config.size0 > len(pool):
         raise ValueError(f"size0={config.size0} exceeds pool of {len(pool)}")
     schema = problem.schema
     rng = random.Random(config.seed)
-
-    initial = rng.sample(pool, config.size0)
-    evaluated = [problem.evaluate(p) for p in initial]
-    taken = {p.id for p in initial}
-
-    remaining = [p for p in pool if p.id not in taken]
-    cand_matrix = np.array([p.decisions for p in remaining], dtype=float).reshape(
-        len(remaining), problem.decision_arity
+    pool_x = np.array([p.decisions for p in pool], dtype=float).reshape(
+        len(pool), problem.decision_arity
     )
-    cand_ids = np.array([p.id for p in remaining], dtype=int)
+    pool_ids = np.array([p.id for p in pool], dtype=int)
+    y = np.empty((len(pool), len(schema)))
+    unevaluated = np.ones(len(pool), dtype=bool)
+    evaluated: list[EvaluatedPoint] = []
+    rows: list[int] = []
 
-    best = front0(evaluated, schema)
+    def evaluate(row: int) -> None:
+        ev = problem.evaluate(pool[row])
+        y[len(evaluated)] = ev.objectives.values
+        evaluated.append(ev)
+        rows.append(row)
+        unevaluated[row] = False
+
+    for row in rng.sample(range(len(pool)), config.size0):
+        evaluate(row)
+    best = front0(y[: len(evaluated)], schema).tolist()
     lives = config.lives
     trace: list[IterationRecord] = []
 
-    while lives > 0 and remaining:
-        x_train = np.array([ev.point.decisions for ev in evaluated], dtype=float)
-        models = [
-            cart.fit_arrays(
-                x_train,
-                np.array([ev.objectives.values[j] for ev in evaluated], dtype=float),
-            )
-            for j in range(len(schema))
-        ]
-        pick = what_to_evaluate_next(cand_matrix, cand_ids, models, schema)
-        chosen = remaining[pick]
-        ev = problem.evaluate(chosen)
-        evaluated.append(ev)
-        del remaining[pick]
-        cand_ids = np.delete(cand_ids, pick)
-        cand_matrix = np.delete(cand_matrix, pick, axis=0)
+    while lives > 0 and len(evaluated) < len(pool):
+        x_train = pool_x[rows]
+        models = [cart.fit_arrays(x_train, y[: len(evaluated), j]) for j in range(len(schema))]
+        cand = np.flatnonzero(unevaluated)
+        pick = what_to_evaluate_next(pool_x[cand], pool_ids[cand], models, schema)
+        new = len(evaluated)
+        evaluate(int(cand[pick]))
 
-        tmp = front0(best + [ev], schema)
-        if {e.point.id for e in tmp} == {e.point.id for e in best}:
+        grown = best + [new]
+        kept = front0(y[grown], schema)
+        if kept[-1] != len(best):  # the new row is off the front
             lives -= 1
         else:
-            best = tmp
-        trace.append(IterationRecord(chosen.id, lives, len(best)))
+            best = [grown[k] for k in kept]
+        trace.append(IterationRecord(evaluated[new].point.id, lives, len(best)))
 
-    return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=trace)
+    best_points = [evaluated[k] for k in best]
+    return RunResult(evaluated=evaluated, best=best_points, evals=len(evaluated), trace=trace)
 
 
 def what_to_evaluate_next(

@@ -8,17 +8,18 @@ distances. Smaller is better for both:
 
 * gd:  mean distance from each obtained point to its nearest reference point
 * igd: mean distance from each reference point to its nearest obtained point
+
+Solutions are the rows of an (n, m) objective matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import ObjectiveSchema, min_max_scale
-from .dominance import nondominated_mask, oriented_matrix, _matrix, _values
+from .dominance import nondominated_mask, oriented_matrix, _matrix
 
 
 @dataclass(frozen=True)
@@ -28,33 +29,27 @@ class ReferenceFront:
     hi: tuple[float, ...]
 
 
-def reference_front(
-    all_solutions: Sequence, schema: ObjectiveSchema
-) -> ReferenceFront:
-    """Non-dominated subset of the pooled solutions, duplicates collapsed.
+def reference_front(y, schema: ObjectiveSchema) -> ReferenceFront:
+    """Non-dominated subset of the pooled solutions, the rows of y,
+    duplicates collapsed.
 
     Points keep first-appearance order; the per-objective bounds of the
     surviving points travel with the front for normalization.
     """
-    if len(all_solutions) == 0:
+    if len(y) == 0:
         raise ValueError("cannot build a reference front from nothing")
-    distinct: dict[tuple[float, ...], None] = {}
-    for v in all_solutions:
-        distinct.setdefault(_values(v), None)
-    keys = list(distinct.keys())
-    mask = nondominated_mask(oriented_matrix(keys, schema))
-    points = tuple(k for k, keep in zip(keys, mask) if keep)
-    arr = np.array(points, dtype=float)
+    y = _matrix(y, schema)
+    _, first = np.unique(y, axis=0, return_index=True)
+    keys = y[np.sort(first)]
+    front = keys[nondominated_mask(oriented_matrix(keys, schema))]
     return ReferenceFront(
-        points=points,
-        lo=tuple(float(v) for v in arr.min(axis=0)),
-        hi=tuple(float(v) for v in arr.max(axis=0)),
+        points=tuple(map(tuple, front.tolist())),
+        lo=tuple(front.min(axis=0).tolist()),
+        hi=tuple(front.max(axis=0).tolist()),
     )
 
 
-def _mean_nearest(
-    a: Sequence, b: Sequence, ref: ReferenceFront, schema: ObjectiveSchema
-) -> float:
+def _mean_nearest(a, b, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
     """Mean over a of the Euclidean distance to the nearest point of b, both
     scaled by the reference front's bounds. A zero-range axis carries no
     information and contributes nothing."""
@@ -69,14 +64,14 @@ def _mean_nearest(
     return float(total / a.shape[0])
 
 
-def gd(obtained: Sequence, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
+def gd(obtained, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
     """Mean distance from obtained solutions to the reference front."""
     if len(obtained) == 0 or len(ref.points) == 0:
         raise ValueError("gd needs nonempty obtained solutions and reference front")
     return _mean_nearest(obtained, ref.points, ref, schema)
 
 
-def igd(obtained: Sequence, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
+def igd(obtained, ref: ReferenceFront, schema: ObjectiveSchema) -> float:
     """Mean distance from the reference front to the obtained solutions."""
     if len(obtained) == 0 or len(ref.points) == 0:
         raise ValueError("igd needs nonempty obtained solutions and reference front")

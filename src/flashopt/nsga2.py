@@ -45,24 +45,21 @@ class Nsga2Config:
             raise ValueError("generations must be at least 1")
 
 
-def crowding_distance(
-    front: Sequence[EvaluatedPoint], schema: ObjectiveSchema
-) -> list[float]:
-    """Classic crowding: boundary points get +inf, interior points sum the
-    range-normalized gaps between their sorted neighbors per objective."""
-    if not front:
+def crowding_distance(y: np.ndarray) -> np.ndarray:
+    """Classic crowding of the rows of one front's objective matrix:
+    boundary rows get +inf, interior rows sum the range-normalized gaps
+    between their sorted neighbors per objective."""
+    if len(y) == 0:
         raise ValueError("front must be nonempty")
-    n = len(front)
-    values = np.array([p.objectives.values for p in front], dtype=float)
-    dist = np.zeros(n)
-    for j in range(len(schema)):
-        order = np.argsort(values[:, j], kind="stable")
-        col = values[order, j]
+    dist = np.zeros(len(y))
+    for values in y.T:
+        order = np.argsort(values, kind="stable")
+        col = values[order]
         dist[order[[0, -1]]] = math.inf
         span = col[-1] - col[0]
         if span > 0:  # inf + a finite gap stays inf, so boundary points stay inf
             dist[order[1:-1]] += (col[2:] - col[:-2]) / span
-    return [float(d) for d in dist]
+    return dist
 
 
 def pool_snapper(
@@ -75,9 +72,12 @@ def pool_snapper(
     One contiguous array and one buffer per column; taken rows carry an inf
     penalty on the first term, and the terms are added in numpy's own order
     (_ordered_sum), so each distance equals ((scaled - vec) ** 2).sum(axis=1).
+    A child is scaled with per-column float bounds, which gives the same
+    IEEE quotients as min_max_scale on an array.
     """
     lo, hi = table.min(axis=0), table.max(axis=0)
     cols = [np.ascontiguousarray(c) for c in min_max_scale(table, lo, hi).T]
+    scale = [(float(a), float(b - a)) for a, b in zip(lo, hi)]
     terms = [np.empty(len(table)) for _ in cols]
     penalty = np.zeros(len(table))
     penalty[list(used)] = np.inf
@@ -85,7 +85,8 @@ def pool_snapper(
 
     def snap(decisions: Sequence[float]) -> int:
         nonlocal open_rows
-        vec = min_max_scale(np.array(decisions, dtype=float), lo, hi)
+        vec = [(v - a) / span if span > 0 else 0.0
+               for v, (a, span) in zip(decisions, scale)]
         for col, term, v in zip(cols, terms, vec):
             np.square(np.subtract(col, v, out=term), out=term)
         if open_rows:
@@ -100,30 +101,34 @@ def pool_snapper(
 
 
 def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
+    """Row k of the run's objective matrix y is its k-th evaluation. The
+    population is an array of rows of y, in selection order; ascending
+    rows are ascending evaluation order."""
     rng = random.Random(config.seed)
     arity = problem.decision_arity
     p_mut = 1.0 / arity
     gene_values = problem.gene_values()
+    pop = config.pop_size
 
     tabular = problem.kind is ProblemKind.TABULAR
     if tabular:
-        if config.pop_size > problem.pool_size:
-            raise ValueError(
-                f"pop_size {config.pop_size} exceeds pool of {problem.pool_size}"
-            )
+        if pop > problem.pool_size:
+            raise ValueError(f"pop_size {pop} exceeds pool of {problem.pool_size}")
         rows = problem.pool()
-        start = rng.sample(range(len(rows)), config.pop_size)
+        start = rng.sample(range(len(rows)), pop)
         points = [rows[i] for i in start]
         snap = pool_snapper(problem.decision_matrix(), start)
     else:
-        points = [
-            DecisionPoint(i, problem.sample_decisions(rng))
-            for i in range(config.pop_size)
-        ]
-    next_id = config.pop_size
+        points = [DecisionPoint(i, problem.sample_decisions(rng)) for i in range(pop)]
+    next_id = pop
 
-    population = [problem.evaluate(p) for p in points]
-    evaluated = list(population)
+    evaluated: list[EvaluatedPoint] = []
+    y = np.empty((pop * (config.generations + 1), len(problem.schema)))
+
+    def evaluate(point: DecisionPoint) -> None:
+        ev = problem.evaluate(point)
+        y[len(evaluated)] = ev.objectives.values
+        evaluated.append(ev)
 
     def make_child(decisions: list[float]) -> DecisionPoint:
         nonlocal next_id
@@ -134,21 +139,24 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         next_id += 1
         return point
 
-    _, ranks, crowd = _select(population, config.pop_size, problem.schema)
+    for point in points:
+        evaluate(point)
+    population = np.arange(pop)
+    _, ranks, crowd = _select(y[:pop], pop, problem.schema)
     for _ in range(config.generations):
-        def tournament() -> EvaluatedPoint:
-            a = rng.randrange(config.pop_size)
-            b = rng.randrange(config.pop_size)
+        def tournament() -> tuple[float, ...]:
+            a = rng.randrange(pop)
+            b = rng.randrange(pop)
             if ranks[a] != ranks[b]:
-                return population[a] if ranks[a] < ranks[b] else population[b]
-            if crowd[a] != crowd[b]:
-                return population[a] if crowd[a] > crowd[b] else population[b]
-            return population[a]
+                a = a if ranks[a] < ranks[b] else b
+            elif crowd[a] != crowd[b]:
+                a = a if crowd[a] > crowd[b] else b
+            return evaluated[population[a]].point.decisions
 
-        offspring: list[EvaluatedPoint] = []
-        for _ in range(config.pop_size // 2):
-            p1 = tournament().point.decisions
-            p2 = tournament().point.decisions
+        first = len(evaluated)
+        for _ in range(pop // 2):
+            p1 = tournament()
+            p2 = tournament()
             if rng.random() < CROSSOVER_PROB:
                 c1, c2 = [], []
                 for g1, g2 in zip(p1, p2):
@@ -164,52 +172,47 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
                 for g in range(arity):
                     if rng.random() < p_mut:
                         child[g] = rng.choice(gene_values[g])
-                offspring.append(problem.evaluate(make_child(child)))
-        evaluated.extend(offspring)
-        combined = population + offspring
-        chosen, rank_all, crowd_all = _select(combined, config.pop_size, problem.schema)
-        population = [combined[k] for k in chosen]
-        ranks = [rank_all[k] for k in chosen]
-        crowd = [crowd_all[k] for k in chosen]
+                evaluate(make_child(child))
+        combined = np.concatenate([np.sort(population), np.arange(first, len(evaluated))])
+        chosen, rank_all, crowd_all = _select(y[combined], pop, problem.schema)
+        population = combined[chosen]
+        ranks = rank_all[chosen].tolist()
+        crowd = crowd_all[chosen].tolist()
 
-    best = front0(population, problem.schema)
+    final = np.sort(population)
+    best = [evaluated[k] for k in final[front0(y[final], problem.schema)]]
     return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=[])
 
 
-def _select(combined, pop_size, schema):
-    """Environmental selection with one non-dominated sort: whole fronts
-    first, the boundary front truncated by descending crowding distance
-    (ties to earliest eval).
+def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):
+    """Environmental selection over the rows of y with one non-dominated
+    sort: whole fronts first, the boundary front truncated by descending
+    crowding distance (ties to the lowest row).
 
-    Returns (chosen, rank, crowd): chosen positions of `combined` in
-    selection order, and the front rank and crowding distance that each
-    chosen position has within the survivors, indexed by position. The
-    survivors keep their fronts when sorted alone, since every member of a
-    front is dominated by some member of the previous, whole front; only a
-    truncated front is crowded again, among its own survivors.
+    Returns (chosen, rank, crowd): the chosen rows in selection order, and
+    the front rank and crowding distance that each chosen row has within
+    the survivors, indexed by row. The survivors keep their fronts when
+    sorted alone, since every member of a front is dominated by some
+    member of the previous, whole front; only a truncated front is crowded
+    again, among its own survivors.
     """
-    partition = nondominated_sort(combined, schema)
-    position = {p.eval_index: k for k, p in enumerate(combined)}
-    rank = [0] * len(combined)
-    crowd = [0.0] * len(combined)
+    partition = nondominated_sort(y, schema)
+    rank = np.zeros(len(y), dtype=int)
+    crowd = np.zeros(len(y))
     chosen: list[int] = []
-    for r, front_ids in enumerate(partition.fronts):
-        members = [position[i] for i in front_ids]
-        dists = crowding_distance([combined[k] for k in members], schema)
+    for r, front in enumerate(partition.fronts):
+        members = np.array(front)
+        dists = crowding_distance(y[members])
         room = pop_size - len(chosen)
         if len(members) > room:
-            ordered = sorted(
-                range(len(members)),
-                key=lambda k: (-dists[k], combined[members[k]].eval_index),
-            )
-            chosen.extend(members[k] for k in ordered[:room])
-            members = [members[k] for k in sorted(ordered[:room])]  # eval order
-            dists = crowding_distance([combined[k] for k in members], schema)
+            kept = np.argsort(-dists, kind="stable")[:room]
+            chosen.extend(members[kept].tolist())
+            members = members[np.sort(kept)]
+            dists = crowding_distance(y[members])
         else:
-            chosen.extend(members)
-        for k, d in zip(members, dists):
-            rank[k] = r
-            crowd[k] = d
+            chosen.extend(front)
+        rank[members] = r
+        crowd[members] = dists
         if len(chosen) == pop_size:
             break
-    return chosen, rank, crowd
+    return np.array(chosen), rank, crowd

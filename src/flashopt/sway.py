@@ -136,5 +136,6 @@ def run_sway(problem: Problem, pool: Sequence[DecisionPoint], config: SwayConfig
             recurse(data[mid:])
 
     recurse(pool)
-    best = front0(evaluated, schema)
+    y = np.array([ev.objectives.values for ev in evaluated], dtype=float)
+    best = [evaluated[k] for k in front0(y, schema)]
     return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=[])

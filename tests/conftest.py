@@ -10,8 +10,10 @@ kept as their exact references. So are reference_crowding_distance,
 reference_rank_and_crowd and reference_select, NSGA-II's earlier
 loop-form crowding and its sort-twice selection over the library's
 nondominated_sort, and reference_nondominated_sort and reference_snap, the
-earlier (d, d, m) form of that sort and NSGA-II's earlier snapping of
-children to pool rows.
+earlier (d, d, m) form of that sort, grouping rows with a dict, and
+NSGA-II's earlier snapping of children to pool rows. Like the library's
+set-level kernels, the references take one objective matrix and answer
+in row indices.
 """
 
 from __future__ import annotations
@@ -23,20 +25,8 @@ import numpy as np
 import pytest
 
 from flashopt import cart
-from flashopt.dominance import (
-    FrontPartition,
-    _distinct_classes,
-    nondominated_sort,
-    oriented_matrix,
-)
-from flashopt.core import (
-    DecisionPoint,
-    EvaluatedPoint,
-    ObjectiveSchema,
-    ObjectiveVector,
-    Sense,
-    min_max_scale,
-)
+from flashopt.dominance import FrontPartition, nondominated_sort, oriented_matrix
+from flashopt.core import ObjectiveSchema, Sense, min_max_scale
 
 
 def brute_binary_dominates(x, y, senses) -> bool:
@@ -176,15 +166,16 @@ def reference_pick(cand_matrix, cand_ids, models, schema) -> int:
     return best_row
 
 
-def reference_crowding_distance(front, schema) -> list[float]:
-    """Classic crowding: boundary points get +inf, interior points sum the
-    range-normalized gaps between their sorted neighbors per objective."""
-    if not front:
+def reference_crowding_distance(y) -> list[float]:
+    """Classic crowding of the rows of one front's objective matrix:
+    boundary rows get +inf, interior rows sum the range-normalized gaps
+    between their sorted neighbors per objective."""
+    if len(y) == 0:
         raise ValueError("front must be nonempty")
-    n = len(front)
-    values = np.array([p.objectives.values for p in front], dtype=float)
+    values = np.asarray(y, dtype=float)
+    n = len(values)
     dist = np.zeros(n)
-    for j in range(len(schema)):
+    for j in range(values.shape[1]):
         order = np.argsort(values[:, j], kind="stable")
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
@@ -199,54 +190,57 @@ def reference_crowding_distance(front, schema) -> list[float]:
     return [float(d) for d in dist]
 
 
-def reference_rank_and_crowd(population, schema):
-    """Front rank and crowding of every point, by position, from a fresh
-    sort of the population alone."""
-    partition = nondominated_sort(population, schema)
-    by_eval = {p.eval_index: k for k, p in enumerate(population)}
-    ranks = [0] * len(population)
-    crowd = [0.0] * len(population)
-    for rank, front_ids in enumerate(partition.fronts):
-        members = [by_eval[i] for i in front_ids]
-        dists = reference_crowding_distance([population[k] for k in members], schema)
+def reference_rank_and_crowd(y, schema):
+    """Front rank and crowding of every row, from a fresh sort of the
+    population's objective matrix alone."""
+    partition = nondominated_sort(y, schema)
+    ranks = [0] * len(y)
+    crowd = [0.0] * len(y)
+    for rank, members in enumerate(partition.fronts):
+        dists = reference_crowding_distance(y[list(members)])
         for k, d in zip(members, dists):
             ranks[k] = rank
             crowd[k] = d
     return ranks, crowd
 
 
-def reference_select(combined, pop_size, schema):
-    """Environmental selection: whole fronts first, the boundary front
-    truncated by descending crowding distance (ties to earliest eval)."""
-    partition = nondominated_sort(combined, schema)
-    by_eval = {p.eval_index: p for p in combined}
-    chosen: list[EvaluatedPoint] = []
-    for front_ids in partition.fronts:
-        members = [by_eval[i] for i in front_ids]
+def reference_select(y, pop_size, schema) -> list[int]:
+    """Environmental selection over the rows of y: whole fronts first, the
+    boundary front truncated by descending crowding distance (ties to the
+    lowest row). Returns the chosen rows in selection order."""
+    partition = nondominated_sort(y, schema)
+    chosen: list[int] = []
+    for front in partition.fronts:
+        members = list(front)
         if len(chosen) + len(members) <= pop_size:
             chosen.extend(members)
             if len(chosen) == pop_size:
                 break
             continue
-        dists = reference_crowding_distance(members, schema)
-        ordered = sorted(
-            range(len(members)), key=lambda k: (-dists[k], members[k].eval_index)
-        )
+        dists = reference_crowding_distance(y[members])
+        ordered = sorted(range(len(members)), key=lambda k: (-dists[k], members[k]))
         for k in ordered[: pop_size - len(chosen)]:
             chosen.append(members[k])
         break
     return chosen
 
 
-def reference_nondominated_sort(points, schema) -> FrontPartition:
-    """Fast non-dominated sort with its dominance matrix built from
-    (d, d, m) comparisons in one step."""
-    if not points:
-        raise ValueError("cannot sort an empty point list")
-    ids = [p.eval_index for p in points]
-    if len(set(ids)) != len(ids):
-        raise ValueError("eval_index values must be unique")
-    keys, members = _distinct_classes(points)
+def _distinct_classes(y):
+    """Group the rows of y by exact objective vector, first-appearance
+    order: the distinct vectors, and the rows holding each."""
+    classes: dict[tuple[float, ...], list[int]] = {}
+    for k, row in enumerate(np.asarray(y, dtype=float).tolist()):
+        classes.setdefault(tuple(row), []).append(k)
+    return list(classes), list(classes.values())
+
+
+def reference_nondominated_sort(y, schema) -> FrontPartition:
+    """Fast non-dominated sort of the rows of y, with its dominance matrix
+    built from (d, d, m) comparisons in one step and rows grouped by a
+    dict."""
+    if len(y) == 0:
+        raise ValueError("cannot sort an empty set")
+    keys, members = _distinct_classes(y)
     d = len(keys)
     oriented = oriented_matrix(keys, schema)
 
@@ -262,12 +256,8 @@ def reference_nondominated_sort(points, schema) -> FrontPartition:
         current = remaining & (dom_count == 0)
         if not current.any():
             raise AssertionError("dominance relation produced a cycle")
-        front_ids = sorted(
-            points[k].eval_index
-            for ci in np.nonzero(current)[0]
-            for k in members[ci]
-        )
-        fronts.append(tuple(front_ids))
+        front = sorted(k for ci in np.nonzero(current)[0] for k in members[ci])
+        fronts.append(tuple(front))
         remaining &= ~current
         dom_count = dom_count - dominates[current].sum(axis=0)
     return FrontPartition(tuple(fronts))
@@ -297,16 +287,6 @@ def reference_snap(table, used, children) -> list[int]:
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:
     return ["min" if s is Sense.MIN else "max" for s in schema.senses]
-
-
-def make_points(vectors) -> list[EvaluatedPoint]:
-    """Wrap raw objective tuples as evaluated points with ids 0, 1, ..."""
-    return [
-        EvaluatedPoint(
-            DecisionPoint(i, (float(i),)), ObjectiveVector(tuple(map(float, v))), i
-        )
-        for i, v in enumerate(vectors)
-    ]
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from flashopt.cli import ExperimentSpec, build_problem, run_experiment
@@ -35,7 +36,7 @@ from flashopt.stats import a12, scott_knott
 from flashopt.sway import SwayConfig, run_sway
 from flashopt.synth import make_synthetic
 
-from conftest import brute_binary_dominates, brute_front_partition, make_points
+from conftest import brute_binary_dominates, brute_front_partition
 
 BASE_SEED = 3
 REPEATS = 20
@@ -106,7 +107,7 @@ def test_criterion_2_front_sort_equivalence():
         vectors = [
             tuple(round(rng.uniform(0, 5), 1) for _ in range(k)) for _ in range(n)
         ]
-        got = [list(f) for f in nondominated_sort(make_points(vectors), schema).fronts]
+        got = [list(f) for f in nondominated_sort(np.array(vectors), schema).fronts]
         assert got == brute_front_partition(vectors, ["min"] * k)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -168,7 +169,10 @@ def test_criterion_7_domination_tree_sizes(experiments):
         for (run, algo), rr in result.results.items():
             if algo in sizes:
                 dt = build_domination_tree(
-                    rr.evaluated, base.schema, base.decision_names
+                    np.array([ev.point.decisions for ev in rr.evaluated]),
+                    np.array([ev.objectives.values for ev in rr.evaluated]),
+                    base.schema,
+                    base.decision_names,
                 )
                 sizes[algo].append(tree_stats(dt))
         for axis, label in ((0, "nodes"), (1, "leaves")):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flashopt.cli import (
@@ -31,8 +32,8 @@ class TestRunRandom:
     def test_full_budget_finds_true_front(self):
         prob = make_synthetic("sphere2", 64)
         res = run_random(prob.fresh(), 64, seed=4)
-        everything = [prob.fresh().evaluate(p) for p in prob.pool()]
-        want = {e.objectives.values for e in front0(everything, prob.schema)}
+        y = np.array([prob.fresh().evaluate(p).objectives.values for p in prob.pool()])
+        want = {tuple(v) for v in y[front0(y, prob.schema)].tolist()}
         assert {e.objectives.values for e in res.best} == want
 
     def test_exact_budget(self):

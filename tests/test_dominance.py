@@ -28,7 +28,6 @@ from conftest import (
     brute_front_partition,
     brute_indicator_dominates,
     brute_indicator_m,
-    make_points,
     reference_class_wins,
     reference_nondominated_mask,
     reference_nondominated_sort,
@@ -174,32 +173,36 @@ class TestPartialOrder:
 
 @st.composite
 def grid_sets(draw, min_size=0):
-    """min_size..200 vectors of 1..6 objectives under mixed senses, on a 0..3
-    integer grid, so exact ties on some axes and duplicate rows are common."""
+    """An (n, m) objective matrix, n in min_size..200, of 1..6 objectives
+    under mixed senses, on a 0..3 integer grid, so exact ties on some axes
+    and duplicate rows are common."""
     m = draw(st.integers(1, 6))
     senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
     n = draw(st.integers(min_size, 200))
     grid = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3)))
-    vectors = [tuple(map(float, row)) for row in grid.tolist()]
-    return vectors, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+    return grid.astype(float), ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
+def matrix(vectors):
+    return np.array(vectors, dtype=float)
 
 
 class TestNondominatedSort:
     def test_mutually_incomparable_single_front(self, min2):
-        points = make_points([(0, 2), (1, 1), (2, 0)])
-        assert nondominated_sort(points, min2).fronts == ((0, 1, 2),)
+        y = matrix([(0, 2), (1, 1), (2, 0)])
+        assert nondominated_sort(y, min2).fronts == ((0, 1, 2),)
 
     def test_chain_gives_three_fronts(self, min2):
-        points = make_points([(0, 0), (1, 1), (2, 2)])
-        assert nondominated_sort(points, min2).fronts == ((0,), (1,), (2,))
+        y = matrix([(0, 0), (1, 1), (2, 2)])
+        assert nondominated_sort(y, min2).fronts == ((0,), (1,), (2,))
 
     def test_duplicates_share_a_front(self, min2):
-        points = make_points([(1, 1), (0, 0), (1, 1)])
-        assert nondominated_sort(points, min2).fronts == ((1,), (0, 2))
+        y = matrix([(1, 1), (0, 0), (1, 1)])
+        assert nondominated_sort(y, min2).fronts == ((1,), (0, 2))
 
     def test_empty_raises(self, min2):
         with pytest.raises(ValueError):
-            nondominated_sort([], min2)
+            nondominated_sort(np.empty((0, 2)), min2)
 
     def test_matches_bruteforce_partition(self, rng):
         for trial in range(30):
@@ -209,48 +212,70 @@ class TestNondominatedSort:
             vectors = [
                 tuple(round(rng.uniform(0, 4), 1) for _ in range(k)) for _ in range(n)
             ]
-            points = make_points(vectors)
-            got = [list(f) for f in nondominated_sort(points, schema).fronts]
+            got = [list(f) for f in nondominated_sort(matrix(vectors), schema).fronts]
             assert got == brute_front_partition(vectors, ["min"] * k)
 
     @given(grid_sets(min_size=1))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_and_brute_partition(self, case):
-        vectors, schema = case
-        points = make_points(vectors)
-        partition = nondominated_sort(points, schema)
-        assert partition == reference_nondominated_sort(points, schema)
+        y, schema = case
+        partition = nondominated_sort(y, schema)
+        assert partition == reference_nondominated_sort(y, schema)
         assert [list(f) for f in partition.fronts] == brute_front_partition(
-            vectors, senses_of(schema)
+            y.tolist(), senses_of(schema)
         )
 
     def test_front0_agrees_with_partition(self, rng):
         schema = schema_for(3)
-        vectors = [tuple(rng.random() for _ in range(3)) for _ in range(80)]
-        points = make_points(vectors)
-        ids = [p.eval_index for p in front0(points, schema)]
-        assert tuple(ids) == nondominated_sort(points, schema).fronts[0]
+        y = matrix([tuple(rng.random() for _ in range(3)) for _ in range(80)])
+        rows = front0(y, schema)
+        assert tuple(rows.tolist()) == nondominated_sort(y, schema).fronts[0]
+
+
+class TestMatrixInput:
+    """The set-level kernels validate the shape of their objective matrix."""
+
+    KERNELS = (front0, nondominated_sort, domination_scores)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_dimensional_input_rejected(self, kernel, min2):
+        with pytest.raises(ValueError, match="objective length mismatch"):
+            kernel(np.array([1.0, 2.0]), min2)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_wrong_width_rejected(self, kernel, min2):
+        with pytest.raises(ValueError, match="objective length mismatch"):
+            kernel(np.zeros((4, 3)), min2)
+
+    @pytest.mark.parametrize("kernel", (front0, nondominated_sort))
+    def test_no_rows_rejected(self, kernel, min2):
+        with pytest.raises(ValueError, match="empty"):
+            kernel(np.empty((0, 2)), min2)
+
+    def test_no_rows_give_no_scores(self, min2):
+        scores = domination_scores(np.empty((0, 2)), min2)
+        assert scores.shape == (0,)
 
 
 class TestNondominatedMask:
     @given(grid_sets())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_and_brute_front(self, case):
-        vectors, schema = case
-        oriented = oriented_matrix(vectors, schema)
+        y, schema = case
+        oriented = oriented_matrix(y, schema)
         mask = nondominated_mask(oriented)
         assert np.array_equal(mask, reference_nondominated_mask(oriented))
-        fronts = brute_front_partition(vectors, senses_of(schema))
-        want = np.zeros(len(vectors), dtype=bool)
+        fronts = brute_front_partition(y.tolist(), senses_of(schema))
+        want = np.zeros(len(y), dtype=bool)
         want[fronts[0] if fronts else []] = True
         assert np.array_equal(mask, want)
 
     @given(grid_sets(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_row_permutation(self, case, rnd):
-        vectors, schema = case
-        oriented = oriented_matrix(vectors, schema)
-        perm = np.array(rnd.sample(range(len(vectors)), len(vectors)), dtype=int)
+        y, schema = case
+        oriented = oriented_matrix(y, schema)
+        perm = np.array(rnd.sample(range(len(y)), len(y)), dtype=int)
         mask = nondominated_mask(oriented)
         assert np.array_equal(nondominated_mask(oriented[perm]), mask[perm])
 
@@ -294,18 +319,17 @@ class TestNondominatedMask:
 
 class TestDominationScore:
     def test_identical_pool_scores_zero(self, min2):
-        points = make_points([(1, 1)] * 4)
-        assert domination_scores(points, min2) == [0, 0, 0, 0]
+        y = matrix([(1, 1)] * 4)
+        assert domination_scores(y, min2).tolist() == [0, 0, 0, 0]
 
     def test_chain_scores(self, min2):
-        points = make_points([(0, 0), (1, 1), (2, 2)])
-        assert domination_scores(points, min2) == [2, 1, 0]
+        y = matrix([(0, 0), (1, 1), (2, 2)])
+        assert domination_scores(y, min2).tolist() == [2, 1, 0]
 
     def test_score_bounded_by_pool(self, rng, min2):
-        vectors = [(rng.random(), rng.random()) for _ in range(20)]
-        points = make_points(vectors)
-        for score in domination_scores(points, min2):
-            assert 0 <= score <= len(points) - 1
+        y = matrix([(rng.random(), rng.random()) for _ in range(20)])
+        for score in domination_scores(y, min2):
+            assert 0 <= score <= len(y) - 1
 
     def test_batch_matches_per_point(self, rng):
         schema = ObjectiveSchema(("a", "b", "c"), (Sense.MAX, Sense.MIN, Sense.MIN))
@@ -313,7 +337,7 @@ class TestDominationScore:
             tuple(round(rng.uniform(0, 3), 1) for _ in range(3)) for _ in range(60)
         ]
         senses = senses_of(schema)
-        batch = domination_scores(make_points(vectors), schema)
+        batch = domination_scores(matrix(vectors), schema)
         want = brute_domination_scores(vectors, senses)
         # The kernel and the oracle round differently, and the 0.1 grid makes
         # many pairs tie in decimal arithmetic; only there may verdicts differ.
@@ -344,6 +368,20 @@ def key_sets(draw):
     return keys, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
 
 
+@st.composite
+def score_sets(draw):
+    """Up to about 3.5 tiles of rows of 1..5 objectives under mixed senses,
+    drawn from a short list of distinct vectors so duplicates are common,
+    in a count that usually leaves a ragged last tile."""
+    m = draw(st.integers(1, 5))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    vector = st.tuples(*[st.integers(0, 5).map(lambda v: v / 10)] * m)
+    distinct = draw(st.lists(vector, min_size=1, max_size=60))
+    n = draw(st.integers(1, _TILE_ROWS * 7 // 2))
+    y = matrix(draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n)))
+    return y, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
 class TestClassWins:
     @given(key_sets())
     @settings(max_examples=300, deadline=None)
@@ -369,12 +407,19 @@ class TestClassWins:
             vectors = [key for key, c in zip(keys, counts) for _ in range(c)]
             scores = (wins * counts).sum(axis=1)
             want = [int(scores[k]) for k, c in enumerate(counts) for _ in range(c)]
-            assert domination_scores(make_points(vectors), schema) == want
+            assert domination_scores(matrix(vectors), schema).tolist() == want
+
+    @given(score_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_scores_are_row_sums_of_the_wins_matrix(self, case):
+        y, schema = case
+        want = (reference_class_wins(y, schema) * 1).sum(axis=1)
+        assert np.array_equal(domination_scores(y, schema), want)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="objective length mismatch"):
             _class_wins([(1.0,), (2.0,)], schema_for(3))
 
     def test_empty_gives_empty_matrix(self):
-        wins = _class_wins([], schema_for(3))
+        wins = _class_wins(np.empty((0, 3)), schema_for(3))
         assert wins.shape == (0, 0) and wins.dtype == bool

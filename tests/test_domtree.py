@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from flashopt.domtree import build_domination_tree, render, tree_stats
@@ -7,20 +8,25 @@ from flashopt.flash import FlashConfig, run_flash
 from flashopt.nsga2 import Nsga2Config, run_nsga2
 from flashopt.synth import make_synthetic
 
-from flashopt.core import DecisionPoint, EvaluatedPoint, ObjectiveVector
-
-from conftest import brute_domination_scores, make_points, senses_of
+from conftest import brute_domination_scores, senses_of
 
 
 def points_at(decisions, objectives):
-    return [
-        EvaluatedPoint(
-            DecisionPoint(i, tuple(map(float, d))),
-            ObjectiveVector(tuple(map(float, o))),
-            i,
-        )
-        for i, (d, o) in enumerate(zip(decisions, objectives))
-    ]
+    """Decision and objective matrices, row k of each for example k."""
+    return np.array(decisions, dtype=float), np.array(objectives, dtype=float)
+
+
+def indexed(objectives):
+    """Objective rows with the one decision column 0, 1, 2, ..."""
+    return points_at([(i,) for i in range(len(objectives))], objectives)
+
+
+def run_matrices(result):
+    """Decision and objective matrices of an optimizer run's evaluations."""
+    return points_at(
+        [ev.point.decisions for ev in result.evaluated],
+        [ev.objectives.values for ev in result.evaluated],
+    )
 
 
 def parse_rendered(text):
@@ -35,40 +41,40 @@ def parse_rendered(text):
 
 class TestBuildDominationTree:
     def test_identical_objectives_single_leaf(self, min2):
-        points = make_points([(1, 1)] * 6)
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(1, 1)] * 6)
+        dt = build_domination_tree(x, y, min2, ["x"])
         assert tree_stats(dt) == (1, 1)
         assert dt.best_path == ()
 
     def test_node_bound(self, min2):
-        points = make_points([(i, 9 - i) for i in range(10)])
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(i, 9 - i) for i in range(10)])
+        dt = build_domination_tree(x, y, min2, ["x"])
         nodes, leaves = tree_stats(dt)
-        assert nodes <= 2 * len(points) - 1
+        assert nodes <= 2 * len(y) - 1
         assert nodes == 2 * leaves - 1
 
     def test_targets_equal_bruteforce_scores(self, min2):
         # A chain: scores 3, 2, 1, 0 over the decision axis; a tree fitted
         # on those targets predicts each exactly (pure leaves reachable).
         vectors = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        points = make_points(vectors)
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed(vectors)
+        dt = build_domination_tree(x, y, min2, ["x"])
         scores = brute_domination_scores(vectors, senses_of(min2))
         assert scores == [3, 2, 1, 0]
-        for p, want in zip(points, scores):
+        for row, want in zip(x, scores):
             node = dt.tree.root
             while not node.is_leaf:
-                value = p.point.decisions[node.feature]
+                value = row[node.feature]
                 node = node.left if value <= node.threshold else node.right
             assert node.prediction == want
 
     def test_too_few_points_rejected(self, min2):
         with pytest.raises(ValueError):
-            build_domination_tree(make_points([(1, 2)]), min2, ["x"])
+            build_domination_tree(*indexed([(1, 2)]), min2, ["x"])
 
     def test_best_path_reaches_max_leaf_mean(self, min2):
-        points = make_points([(i, i) for i in range(8)])
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(i, i) for i in range(8)])
+        dt = build_domination_tree(x, y, min2, ["x"])
         leaf_means = []
         stack = [dt.tree.root]
         while stack:
@@ -86,17 +92,15 @@ class TestBuildDominationTree:
 
 class TestRender:
     def test_single_leaf_line(self, min2):
-        points = make_points([(1, 1), (1, 1)])
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(1, 1), (1, 1)])
+        dt = build_domination_tree(x, y, min2, ["x"])
         assert render(dt) == "**(0)**"
 
     def test_depth_one_layout(self, min2):
         # Binary decision column, two pure leaves around threshold 0.5;
         # four lines, leaf lines one level deeper than their branch lines.
-        points = points_at(
-            [(0,), (0,), (1,), (1,)], [(0, 0), (0, 0), (5, 5), (5, 5)]
-        )
-        dt = build_domination_tree(points, min2, ["sccp"])
+        x, y = points_at([(0,), (0,), (1,), (1,)], [(0, 0), (0, 0), (5, 5), (5, 5)])
+        dt = build_domination_tree(x, y, min2, ["sccp"])
         lines = render(dt).splitlines()
         assert lines == [
             "**sccp<=0.5**",
@@ -107,10 +111,8 @@ class TestRender:
 
     def test_best_branch_is_marked_on_the_right_side(self, min2):
         # Flip the objectives so the high-decision side wins.
-        points = points_at(
-            [(0,), (0,), (1,), (1,)], [(5, 5), (5, 5), (0, 0), (0, 0)]
-        )
-        dt = build_domination_tree(points, min2, ["sccp"])
+        x, y = points_at([(0,), (0,), (1,), (1,)], [(5, 5), (5, 5), (0, 0), (0, 0)])
+        dt = build_domination_tree(x, y, min2, ["sccp"])
         lines = render(dt).splitlines()
         assert lines == [
             "sccp<=0.5",
@@ -122,21 +124,21 @@ class TestRender:
     def test_fractional_scores_render_one_decimal(self, min2):
         # Mixed leaf: points (0,0),(1,1) in one leaf give scores 1 and 0,
         # mean 0.5.
-        points = make_points([(0, 0), (1, 1)])
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(0, 0), (1, 1)])
+        dt = build_domination_tree(x, y, min2, ["x"])
         text = render(dt)
         if tree_stats(dt) == (1, 1):
             assert text == "**(0.5)**"
 
     def test_round_trip_parse_recovers_stats(self, min2):
-        points = make_points([(i % 5, (i * 3) % 7) for i in range(30)])
-        dt = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(i % 5, (i * 3) % 7) for i in range(30)])
+        dt = build_domination_tree(x, y, min2, ["x"])
         assert parse_rendered(render(dt)) == tree_stats(dt)
 
     def test_render_deterministic(self, min2):
-        points = make_points([(i % 4, i % 3) for i in range(24)])
-        dt1 = build_domination_tree(points, min2, ["x"])
-        dt2 = build_domination_tree(points, min2, ["x"])
+        x, y = indexed([(i % 4, i % 3) for i in range(24)])
+        dt1 = build_domination_tree(x, y, min2, ["x"])
+        dt2 = build_domination_tree(x, y, min2, ["x"])
         assert render(dt1) == render(dt2)
 
 
@@ -150,8 +152,8 @@ class TestTreeSizeComparison:
             prob = make_synthetic("sphere2", 400)
             fres = run_flash(prob.fresh(), prob.pool(), FlashConfig(size0=10, lives=5, seed=seed))
             nres = run_nsga2(prob.fresh(), Nsga2Config(pop_size=20, generations=10, seed=seed))
-            ft = build_domination_tree(fres.evaluated, prob.schema, prob.decision_names)
-            nt = build_domination_tree(nres.evaluated, prob.schema, prob.decision_names)
+            ft = build_domination_tree(*run_matrices(fres), prob.schema, prob.decision_names)
+            nt = build_domination_tree(*run_matrices(nres), prob.schema, prob.decision_names)
             flash_sizes.append(tree_stats(ft)[0])
             ea_sizes.append(tree_stats(nt)[0])
         assert statistics.median(flash_sizes) < statistics.median(ea_sizes)

@@ -14,6 +14,7 @@ from flashopt.flash import FlashConfig, run_flash, what_to_evaluate_next
 from flashopt.synth import make_synthetic
 
 from conftest import (
+    brute_binary_dominates,
     brute_front_partition,
     brute_indicator_dominates,
     reference_pick,
@@ -34,6 +35,20 @@ def grid_problem(n=60, constant=False):
     return Problem.tabular("grid", ("x",), schema, rows, objectives)
 
 
+def stepped_problem(n=80):
+    """One decision on a grid; objectives (x, 1-x) floored to quarters,
+    both minimized: plateaus repeat each objective vector many times, and
+    a point at a step edge is dominated by its neighbors."""
+    xs = [i / (n - 1) for i in range(n)]
+    schema = ObjectiveSchema(("f1", "f2"), (Sense.MIN, Sense.MIN))
+    objectives = [(np.floor(4 * x) / 4, np.floor(4 * (1 - x)) / 4) for x in xs]
+    return Problem.tabular("stepped", ("x",), schema, [(x,) for x in xs], objectives)
+
+
+def objectives(evaluated):
+    return np.array([e.objectives.values for e in evaluated], dtype=float)
+
+
 def constant_model(value, rows=4):
     return fit_arrays(np.arange(rows, dtype=float).reshape(rows, 1), np.full(rows, value))
 
@@ -52,7 +67,8 @@ class TestRunFlash:
         assert res.evals == 20
         assert res.trace == []
         got = sorted(e.point.id for e in res.best)
-        want = sorted(e.point.id for e in front0(res.evaluated, prob.schema))
+        front = front0(objectives(res.evaluated), prob.schema)
+        want = sorted(res.evaluated[k].point.id for k in front)
         assert got == want
 
     def test_constant_objectives_exhaust_the_pool(self):
@@ -93,6 +109,36 @@ class TestRunFlash:
         assert stagnant == config.lives - final_lives
         assert stagnant <= config.lives
 
+    @pytest.mark.parametrize("name", ["step", "stepped"])
+    def test_lives_spent_exactly_on_dominated_points(self, name):
+        # Oracle for the stagnation rule: an iteration costs a life iff some
+        # earlier evaluation binary-dominates the new one, and the reported
+        # front size is that of the brute front of the evaluations so far.
+        # On the stepped grid some new points copy a front vector, which
+        # joins the front and costs no life.
+        make = {"step": lambda: make_synthetic("step", 300), "stepped": stepped_problem}[name]
+        spent = kept = ties = 0
+        for seed in range(6):
+            prob = make()
+            config = FlashConfig(size0=6, lives=4, seed=seed)
+            res = run_flash(prob, prob.pool(), config)
+            senses = senses_of(prob.schema)
+            vectors = [e.objectives.values for e in res.evaluated]
+            size0 = len(vectors) - len(res.trace)
+            lives = config.lives
+            for k, rec in enumerate(res.trace, start=size0):
+                earlier = vectors[:k]
+                dominated = any(brute_binary_dominates(v, vectors[k], senses) for v in earlier)
+                assert rec.lives == lives - dominated
+                front = brute_front_partition(vectors[: k + 1], senses)[0]
+                assert rec.front_size == len(front)
+                lives = rec.lives
+                spent += dominated
+                kept += not dominated
+                ties += vectors[k] in earlier and not dominated
+        assert spent and kept
+        assert ties or name == "step"
+
     def test_deterministic(self):
         prob = make_synthetic("sphere2", 150)
         config = FlashConfig(size0=12, lives=4, seed=7)
@@ -116,7 +162,7 @@ class TestRunFlash:
         res = run_flash(prob, prob.pool(), FlashConfig(size0=6, lives=4, seed=9))
         for upto in range(7, len(res.evaluated) + 1):
             prefix = res.evaluated[:upto]
-            full = {e.eval_index for e in front0(prefix, prob.schema)}
+            full = {prefix[k].eval_index for k in front0(objectives(prefix), prob.schema)}
             if upto == len(res.evaluated):
                 assert {e.eval_index for e in res.best} == full
 
@@ -162,13 +208,13 @@ class TestWhatToEvaluateNext:
         # predicted vector. The front rows must be grouped before scoring,
         # or the wins matrix would be 5,000 x 5,000.
         seen = []
-        wins = dominance._class_wins
+        tiles = dominance._win_tiles
 
         def spy(keys, schema):
             seen.append(len(keys))
-            return wins(keys, schema)
+            return tiles(keys, schema)
 
-        monkeypatch.setattr(dominance, "_class_wins", spy)
+        monkeypatch.setattr(dominance, "_win_tiles", spy)
         ids = random.Random(5).sample(range(100_000), 5_000)
         matrix = np.arange(5_000.0).reshape(5_000, 1)
         models = [constant_model(1.0), constant_model(2.0)]

@@ -8,26 +8,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flashopt import nsga2
-from flashopt.core import (
-    DecisionPoint,
-    EvaluatedPoint,
-    ObjectiveSchema,
-    ObjectiveVector,
-    Problem,
-    Sense,
-)
+from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import binary_dominates, front0
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
 from flashopt.nsga2 import Nsga2Config, crowding_distance, pool_snapper, run_nsga2
 from flashopt.synth import make_synthetic
 
 from conftest import (
-    make_points,
     reference_crowding_distance,
     reference_rank_and_crowd,
     reference_select,
     reference_snap,
 )
+
+
+def objectives(evaluated):
+    return np.array([e.objectives.values for e in evaluated], dtype=float)
 
 
 def line_problem(n=1001):
@@ -39,29 +35,26 @@ def line_problem(n=1001):
 
 
 class TestCrowdingDistance:
-    def test_two_points_all_infinite(self, min2):
-        points = make_points([(0, 1), (1, 0)])
-        assert crowding_distance(points, min2) == [math.inf, math.inf]
+    def test_two_points_all_infinite(self):
+        y = np.array([(0.0, 1.0), (1.0, 0.0)])
+        assert crowding_distance(y).tolist() == [math.inf, math.inf]
 
-    def test_single_point_infinite(self, min2):
-        points = make_points([(0.3, 0.7)])
-        assert crowding_distance(points, min2) == [math.inf]
+    def test_single_point_infinite(self):
+        assert crowding_distance(np.array([(0.3, 0.7)])).tolist() == [math.inf]
 
-    def test_evenly_spaced_middle_distance_two(self, min2):
-        points = make_points([(0, 0), (1, 1), (2, 2)])
-        dists = crowding_distance(points, min2)
+    def test_evenly_spaced_middle_distance_two(self):
+        dists = crowding_distance(np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))
         assert dists[0] == math.inf and dists[2] == math.inf
         assert dists[1] == pytest.approx(2.0)
 
-    def test_identical_objectives_interior_zero(self, min2):
-        points = make_points([(1, 1)] * 5)
-        dists = crowding_distance(points, min2)
+    def test_identical_objectives_interior_zero(self):
+        dists = crowding_distance(np.ones((5, 2)))
         assert sum(1 for d in dists if math.isinf(d)) == 2
         assert all(d == 0.0 for d in dists if not math.isinf(d))
 
-    def test_empty_rejected(self, min2):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            crowding_distance([], min2)
+            crowding_distance(np.empty((0, 2)))
 
 
 class TestRunNsga2:
@@ -92,11 +85,11 @@ class TestRunNsga2:
         # generation and check front-0 of all 2N evaluations is in best.
         prob = make_synthetic("sphere2", 400)
         res = run_nsga2(prob, Nsga2Config(pop_size=20, generations=1, seed=4))
-        full_front = front0(res.evaluated, prob.schema)
+        full_front = front0(objectives(res.evaluated), prob.schema)
         if len(full_front) <= 20:
             best_ids = {e.eval_index for e in res.best}
-            for e in full_front:
-                assert e.eval_index in best_ids
+            for k in full_front:
+                assert res.evaluated[k].eval_index in best_ids
 
     def test_deterministic(self):
         prob = make_synthetic("step", 300)
@@ -115,9 +108,9 @@ class TestRunNsga2:
         calls = []
         real = nsga2.nondominated_sort
 
-        def counting(points, schema):
-            calls.append(len(points))
-            return real(points, schema)
+        def counting(y, schema):
+            calls.append(len(y))
+            return real(y, schema)
 
         monkeypatch.setattr(nsga2, "nondominated_sort", counting)
         run_nsga2(make_synthetic("sphere2", 300), Nsga2Config(12, 5, seed=3))
@@ -130,8 +123,8 @@ class TestRunNsga2:
         for seed in range(20):
             prob = line_problem(1001)
             res = run_nsga2(prob, Nsga2Config(pop_size=20, generations=10, seed=seed))
-            init = res.evaluated[:20]
-            first = [e.objectives.values[0] for e in front0(init, prob.schema)]
+            init = objectives(res.evaluated[:20])
+            first = init[front0(init, prob.schema), 0].tolist()
             final = [e.objectives.values[0] for e in res.best]
             gains.append(
                 (max(final) - min(final)) - (max(first) - min(first))
@@ -158,42 +151,30 @@ class TestRunNsga2:
 
 @st.composite
 def selection_cases(draw):
-    """1-4 objectives of mixed sense on a 0..3 grid (so fronts share values
-    and crowding ties are common), eval_index shuffled against position,
-    and an even survivor count no larger than the population."""
+    """An objective matrix of 1-4 objectives of mixed sense on a 0..3 grid
+    (so fronts share values and crowding ties are common), and an even
+    survivor count no larger than the population."""
     m = draw(st.integers(1, 4))
     senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
     schema = ObjectiveSchema(tuple(f"f{j}" for j in range(m)), tuple(senses))
     n = draw(st.integers(4, 120))
-    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0])
-    vectors = draw(
-        st.lists(st.tuples(*[grid] * m), min_size=n, max_size=n)
-    )
-    evals = draw(st.permutations(range(n)))
-    points = [
-        EvaluatedPoint(DecisionPoint(k, (float(k),)), ObjectiveVector(v), e)
-        for k, (v, e) in enumerate(zip(vectors, evals))
-    ]
+    y = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3))).astype(float)
     pop_size = 2 * draw(st.integers(1, n // 2))
-    return points, pop_size, schema
+    return y, pop_size, schema
 
 
 class TestSelectAgainstReference:
     @given(selection_cases())
     @settings(max_examples=300, deadline=None)
     def test_one_sort_matches_sort_twice(self, case):
-        points, pop_size, schema = case
-        chosen, rank, crowd = nsga2._select(points, pop_size, schema)
-        survivors = reference_select(points, pop_size, schema)
-        assert [points[k].eval_index for k in chosen] == [
-            p.eval_index for p in survivors
-        ]
-        want_rank, want_crowd = reference_rank_and_crowd(survivors, schema)
-        assert [rank[k] for k in chosen] == want_rank
-        assert [crowd[k] for k in chosen] == want_crowd
-        assert crowding_distance(points, schema) == reference_crowding_distance(
-            points, schema
-        )
+        y, pop_size, schema = case
+        chosen, rank, crowd = nsga2._select(y, pop_size, schema)
+        assert chosen.tolist() == reference_select(y, pop_size, schema)
+        survivors = np.sort(chosen)
+        want_rank, want_crowd = reference_rank_and_crowd(y[survivors], schema)
+        assert rank[survivors].tolist() == want_rank
+        assert crowd[survivors].tolist() == want_crowd
+        assert crowding_distance(y).tolist() == reference_crowding_distance(y)
 
 
 @st.composite

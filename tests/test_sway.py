@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flashopt.core import DecisionPoint, ObjectiveSchema, Problem, Sense
@@ -69,7 +70,8 @@ class TestRunSway:
         assert res.evals == 6
         assert sorted(e.point.id for e in res.evaluated) == sorted(p.id for p in pool)
         got = sorted(e.eval_index for e in res.best)
-        want = sorted(e.eval_index for e in front0(res.evaluated, prob.schema))
+        y = np.array([e.objectives.values for e in res.evaluated])
+        want = sorted(res.evaluated[k].eval_index for k in front0(y, prob.schema))
         assert got == want
 
     def test_identical_objectives_emit_whole_pool(self):
