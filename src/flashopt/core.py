@@ -1,9 +1,9 @@
 """Shared domain types, the problem abstraction, and tabular problem loading.
 
 A Problem is either TABULAR (a finite pool of pre-measured rows) or
-GENERATIVE (a sampler plus an evaluator). Every fitness measurement goes
-through :meth:`Problem.evaluate`, which is the only operation that touches
-the evaluation counter.
+GENERATIVE (a sampler of n decision vectors at a time plus an evaluator).
+Every fitness measurement goes through :meth:`Problem.evaluate`, which is
+the only operation that touches the evaluation counter.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class Problem:
         kind: ProblemKind,
         pool: Sequence[DecisionPoint] | None = None,
         measured: Sequence[tuple[float, ...]] | None = None,
-        sampler: Callable[[random.Random], tuple[float, ...]] | None = None,
+        sampler: Callable[[random.Random, int], list[tuple[float, ...]]] | None = None,
         evaluator: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
         repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
@@ -205,7 +205,7 @@ class Problem:
         name: str,
         decision_names: Sequence[str],
         schema: ObjectiveSchema,
-        sampler: Callable[[random.Random], tuple[float, ...]],
+        sampler: Callable[[random.Random, int], list[tuple[float, ...]]],
         evaluator: Callable[[tuple[float, ...]], tuple[float, ...]],
         repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
@@ -287,11 +287,13 @@ class Problem:
         self.eval_count += 1
         return ev
 
-    def sample_decisions(self, rng: random.Random) -> tuple[float, ...]:
-        """Draw one fresh valid decision vector (GENERATIVE only)."""
+    def sample_decisions(self, rng: random.Random, n: int) -> list[tuple[float, ...]]:
+        """Draw n fresh valid decision vectors (GENERATIVE only). A sampler
+        leaves rng where n one-vector draws would, so callers may keep
+        drawing from it."""
         if self._sampler is None:
             raise ValueError(f"{self.name}: tabular problems sample rows, not vectors")
-        return self._sampler(rng)
+        return self._sampler(rng, n)
 
     def sample_pool(self, n: int, seed: int) -> list[DecisionPoint]:
         """Seeded decision sample: without replacement for TABULAR pools,
@@ -305,7 +307,7 @@ class Problem:
                     f"{self.name}: sample of {n} exceeds pool size {len(self._pool)}"
                 )
             return rng.sample(self._pool, n)
-        return [DecisionPoint(i, self._sampler(rng)) for i in range(n)]
+        return [DecisionPoint(i, d) for i, d in enumerate(self._sampler(rng, n))]
 
     def fresh(self) -> "Problem":
         """A clone with a zeroed evaluation counter, sharing the data."""

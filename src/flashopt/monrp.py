@@ -15,12 +15,25 @@ where score_i = sum_j weight_j * importance[j][i], x_i is the release of
 requirement i and y_i says whether it is implemented at all. Plans are
 feasible when every release fits its budget and every implemented
 requirement has its dependencies implemented no later than itself.
+
+Pool sampling is word-exact: sample_plans(inst, rng, n) returns the plans
+that n one-plan draws from rng would give, and leaves rng in the state
+they would leave it in. random.Random is MT19937 (Matsumoto & Nishimura,
+1998), and numpy's MT19937 bit generator, loaded with its state, yields
+the same 32-bit words, so the words are drawn in bulk chunks. This rests
+on CPython's _randbelow_with_getrandbits, which serves randint(0, P) and
+randrange(m) alike: k = m.bit_length(), each try reads one 32-bit word
+and keeps its top k bits, and a try r >= m is rejected. The property test
+against the call-by-call sampler in tests/conftest.py guards it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ObjectiveSchema, ObjectiveVector, Problem, Sense
 
@@ -185,12 +198,14 @@ def is_feasible(inst: MonrpInstance, plan: ReleasePlan) -> tuple[bool, list[Viol
     return (not violations), violations
 
 
-def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> None:
-    """Unimplement requirements whose dependencies are missing or too late.
+def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:
+    """Unimplement requirements whose dependencies are missing or too late,
+    and say whether any was.
 
     Dropping a requirement can strand its own dependents, so iterate to a
     fixpoint; each pass only removes requirements, so this terminates.
     """
+    dropped = False
     changed = True
     while changed:
         changed = False
@@ -199,7 +214,19 @@ def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> None:
                 continue
             if release[b] == 0 or release[b] > release[a]:
                 release[a] = 0
-                changed = True
+                changed = dropped = True
+    return dropped
+
+
+def _release_loads(inst: MonrpInstance, release: list[int]) -> list[float]:
+    """The cost of each release 0..P in one pass. A load adds its members'
+    costs one by one in ascending requirement index, so it is the float
+    that sum() over the member list gives (up to Python 3.11, whose sum()
+    adds floats plainly in order)."""
+    load = [0.0] * (inst.P + 1)
+    for x, c in zip(release, inst.cost):
+        load[x] += c
+    return load
 
 
 def repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
@@ -211,78 +238,167 @@ def repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
     """
     if len(plan.release) != inst.N:
         raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
+    if min(plan.release) < 0 or max(plan.release) > inst.P:
+        raise ValueError(f"plan has a release outside 0..{inst.P}")
     release = list(plan.release)
     scores = inst.scores()
     while True:
         _drop_precedence_violators(inst, release)
         evicted = False
+        load = _release_loads(inst, release)
         for k in range(1, inst.P + 1):
-            members = [i for i, x in enumerate(release) if x == k]
-            load = sum(inst.cost[i] for i in members)
-            members.sort(key=lambda i: (scores[i], i))
-            while load > inst.budget[k - 1] and members:
-                victim = members.pop(0)
+            if load[k] <= inst.budget[k - 1]:
+                continue
+            members = sorted((scores[i], i) for i, x in enumerate(release) if x == k)
+            for _, victim in members:
+                if load[k] <= inst.budget[k - 1]:
+                    break
                 release[victim] = 0
-                load -= inst.cost[victim]
+                load[k] -= inst.cost[victim]
                 evicted = True
         if not evicted:
             break
     return ReleasePlan(tuple(release))
 
 
+CHUNK_WORDS = 1 << 16  # MT19937 words drawn from numpy per refill, at most
+
+
+class _WordStream:
+    """The 32-bit words of a random.Random, drawn from numpy's MT19937 in
+    chunks. ints(n) gives the next n results of randint(0, top) and
+    below(m) the next randrange(m), each reading exactly the words Python
+    would read; restore() then hands the Random the state after the last
+    word read."""
+
+    def __init__(self, rng: random.Random, top: int, size: int):
+        self._rng = rng
+        self._version, internal, self._gauss = rng.getstate()
+        self._bits = np.random.MT19937()
+        self._bits.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+        }
+        self._top = top
+        self._shift = 32 - (top + 1).bit_length()
+        self._size = size
+        self._fill()
+
+    def _fill(self) -> None:
+        self._chunk_start = self._bits.state
+        words = self._bits.random_raw(self._size)
+        values = words >> self._shift
+        accepted = np.flatnonzero(values <= self._top)
+        self._words = words.tolist()
+        self._accepted = accepted.tolist()  # positions of words that randint keeps
+        self._values = values[accepted].tolist()
+        self._pos = 0  # next unread word of the chunk
+
+    def ints(self, n: int) -> list[int]:
+        out: list[int] = []
+        while len(out) < n:
+            j = bisect_left(self._accepted, self._pos)
+            take = self._values[j : j + n - len(out)]
+            if not take:  # the chunk's last words are all rejected draws
+                self._fill()
+                continue
+            out += take
+            self._pos = self._accepted[j + len(take) - 1] + 1
+        return out
+
+    def below(self, m: int) -> int:
+        shift = 32 - m.bit_length()
+        while True:
+            if self._pos == len(self._words):
+                self._fill()
+            r = self._words[self._pos] >> shift
+            self._pos += 1
+            if r < m:
+                return r
+
+    def restore(self) -> None:
+        self._bits.state = self._chunk_start
+        self._bits.random_raw(self._pos)
+        state = self._bits.state["state"]
+        self._rng.setstate(
+            (self._version, (*state["key"].tolist(), state["pos"]), self._gauss)
+        )
+
+
+def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> list[ReleasePlan]:
+    """n random plans, each repaired until it passes is_feasible.
+
+    A plan draws randint(0, P) for every requirement, pulls each missing or
+    late dependency into its dependent's release (iterating, since
+    dependencies chain), then evicts a randrange-chosen member of the first
+    over-budget release and drops the dependents stranded by it, until no
+    release is over budget. The draws are word-exact: see the module
+    docstring.
+    """
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    # randint(0, P) keeps over half of all words, so N draws read under 2N words
+    # on average, and evictions add a few; a short first chunk only refills.
+    words = _WordStream(rng, inst.P, min(CHUNK_WORDS, n * (2 * inst.N + 16)))
+    checks = list(zip(range(1, inst.P + 1), inst.budget))
+    plans = []
+    for _ in range(n):
+        release = words.ints(inst.N)
+        changed = True
+        while changed:
+            changed = False
+            for a, b in inst.deps:
+                if release[a] == 0:
+                    continue
+                if release[b] == 0 or release[b] > release[a]:
+                    release[b] = release[a]
+                    changed = True
+        load = _release_loads(inst, release)
+        listed = 0  # the release whose members `group` lists, in ascending index
+        while True:
+            for over, cap in checks:
+                if load[over] > cap:
+                    break
+            else:
+                break
+            if over != listed:
+                listed = over
+                group = [i for i, x in enumerate(release) if x == over]
+            release[group.pop(words.below(len(group)))] = 0
+            if _drop_precedence_violators(inst, release):
+                load = _release_loads(inst, release)
+                listed = 0
+            else:  # only this release changed: re-add its members in order
+                load[over] = 0.0
+                for i in group:
+                    load[over] += inst.cost[i]
+        plans.append(ReleasePlan(tuple(release)))
+    words.restore()
+    return plans
+
+
 def random_valid_plan(inst: MonrpInstance, seed: int) -> ReleasePlan:
     """A seeded random plan, repaired until it passes is_feasible."""
-    return _random_plan(inst, random.Random(seed))
-
-
-def _random_plan(inst: MonrpInstance, rng: random.Random) -> ReleasePlan:
-    release = [rng.randint(0, inst.P) for _ in range(inst.N)]
-    # Precedence first: pull each missing or late dependency into the
-    # dependent's release. Iterate because dependencies chain.
-    changed = True
-    while changed:
-        changed = False
-        for a, b in inst.deps:
-            if release[a] == 0:
-                continue
-            if release[b] == 0 or release[b] > release[a]:
-                release[b] = release[a]
-                changed = True
-    # Budgets: evict random members from over-budget releases, then drop any
-    # dependents stranded by an eviction and re-check.
-    while True:
-        over = None
-        for k in range(1, inst.P + 1):
-            members = [i for i, x in enumerate(release) if x == k]
-            load = sum(inst.cost[i] for i in members)
-            if load > inst.budget[k - 1]:
-                over = (k, members)
-                break
-        if over is None:
-            break
-        _, members = over
-        victim = members[rng.randrange(len(members))]
-        release[victim] = 0
-        _drop_precedence_violators(inst, release)
-    return ReleasePlan(tuple(release))
+    return sample_plans(inst, random.Random(seed), 1)[0]
 
 
 def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
     """Wrap an instance as a GENERATIVE Problem over release vectors."""
     arity = inst.N
+    levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every vector
 
-    def sampler(rng: random.Random) -> tuple[float, ...]:
-        return tuple(float(v) for v in _random_plan(inst, rng).release)
+    def sampler(rng: random.Random, n: int) -> list[tuple[float, ...]]:
+        return [tuple([levels[x] for x in plan.release]) for plan in sample_plans(inst, rng, n)]
 
     def evaluator(decisions: tuple[float, ...]) -> tuple[float, ...]:
         plan = ReleasePlan(tuple(int(v) for v in decisions))
         return evaluate_plan(inst, plan).values
 
     def repairer(decisions: tuple[float, ...]) -> tuple[float, ...]:
-        plan = ReleasePlan(tuple(int(v) for v in decisions))
-        return tuple(float(v) for v in repair_plan(inst, plan).release)
+        plan = repair_plan(inst, ReleasePlan(tuple(map(int, decisions))))
+        return tuple([levels[x] for x in plan.release])
 
-    gene_values = [tuple(float(v) for v in range(inst.P + 1))] * arity
+    gene_values = [levels] * arity
     return Problem.generative(
         name,
         [f"r{i}" for i in range(arity)],

@@ -119,7 +119,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         points = [rows[i] for i in start]
         snap = pool_snapper(problem.decision_matrix(), start)
     else:
-        points = [DecisionPoint(i, problem.sample_decisions(rng)) for i in range(pop)]
+        points = [DecisionPoint(i, d) for i, d in enumerate(problem.sample_decisions(rng, pop))]
     next_id = pop
 
     evaluated: list[EvaluatedPoint] = []

@@ -13,7 +13,9 @@ nondominated_sort, and reference_nondominated_sort and reference_snap, the
 earlier (d, d, m) form of that sort, grouping rows with a dict, and
 NSGA-II's earlier snapping of children to pool rows. Like the library's
 set-level kernels, the references take one objective matrix and answer
-in row indices.
+in row indices. reference_random_plan and reference_repair_plan are the
+earlier one-plan-at-a-time MONRP sampler, drawing from a random.Random
+call by call, and the earlier MONRP repair.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 from flashopt import cart
 from flashopt.dominance import FrontPartition, nondominated_sort, oriented_matrix
 from flashopt.core import ObjectiveSchema, Sense, min_max_scale
+from flashopt.monrp import MonrpInstance, ReleasePlan
 
 
 def brute_binary_dominates(x, y, senses) -> bool:
@@ -283,6 +286,74 @@ def reference_snap(table, used, children) -> list[int]:
         unused[row] = False
         out.append(row)
     return out
+
+
+def _reference_drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for a, b in inst.deps:
+            if release[a] == 0:
+                continue
+            if release[b] == 0 or release[b] > release[a]:
+                release[a] = 0
+                changed = True
+
+
+def reference_random_plan(inst: MonrpInstance, rng: random.Random) -> ReleasePlan:
+    """One random plan, repaired until feasible, drawn call by call from rng."""
+    release = [rng.randint(0, inst.P) for _ in range(inst.N)]
+    # Precedence first: pull each missing or late dependency into the
+    # dependent's release. Iterate because dependencies chain.
+    changed = True
+    while changed:
+        changed = False
+        for a, b in inst.deps:
+            if release[a] == 0:
+                continue
+            if release[b] == 0 or release[b] > release[a]:
+                release[b] = release[a]
+                changed = True
+    # Budgets: evict random members from over-budget releases, then drop any
+    # dependents stranded by an eviction and re-check.
+    while True:
+        over = None
+        for k in range(1, inst.P + 1):
+            members = [i for i, x in enumerate(release) if x == k]
+            load = sum(inst.cost[i] for i in members)
+            if load > inst.budget[k - 1]:
+                over = (k, members)
+                break
+        if over is None:
+            break
+        _, members = over
+        victim = members[rng.randrange(len(members))]
+        release[victim] = 0
+        _reference_drop_precedence_violators(inst, release)
+    return ReleasePlan(tuple(release))
+
+
+def reference_repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
+    """MONRP repair with a member list and a sum() per release per pass."""
+    if len(plan.release) != inst.N:
+        raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
+    release = list(plan.release)
+    scores = inst.scores()
+    while True:
+        _reference_drop_precedence_violators(inst, release)
+        evicted = False
+        for k in range(1, inst.P + 1):
+            members = [i for i, x in enumerate(release) if x == k]
+            load = sum(inst.cost[i] for i in members)
+            members.sort(key=lambda i: (scores[i], i))
+            while load > inst.budget[k - 1] and members:
+                victim = members.pop(0)
+                release[victim] = 0
+                load -= inst.cost[victim]
+                evicted = True
+        if not evicted:
+            break
+    return ReleasePlan(tuple(release))
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

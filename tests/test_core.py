@@ -157,7 +157,7 @@ class TestEvaluate:
             "bad",
             ("x",),
             schema,
-            sampler=lambda rng: (rng.random(),),
+            sampler=lambda rng, n: [(rng.random(),) for _ in range(n)],
             evaluator=lambda d: (float("inf"),),
         )
         with pytest.raises(ValueError, match="non-finite"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashopt import monrp
 from flashopt.core import ObjectiveVector, Sense
 from flashopt.monrp import (
     MonrpInstance,
@@ -14,7 +15,10 @@ from flashopt.monrp import (
     monrp_schema,
     random_valid_plan,
     repair_plan,
+    sample_plans,
 )
+
+from conftest import reference_random_plan, reference_repair_plan
 
 
 def tiny_instance():
@@ -237,3 +241,139 @@ class TestRepairPlan:
         inst = generate(20, 3, 3, 10, 110, seed=8)
         plan = random_valid_plan(inst, 3)
         assert repair_plan(inst, plan) == plan
+
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 50),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_plan_as_reference_on_generated(self, n, p, m, dep, funding, seed, data):
+        inst = generate(n, p, m, dep, funding, seed=seed)
+        release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+        plan = ReleasePlan(tuple(release))
+        assert repair_plan(inst, plan) == reference_repair_plan(inst, plan)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_plan_as_reference_on_fractional_costs(self, data):
+        inst = fractional_instance(data)
+        release = data.draw(st.lists(st.integers(0, inst.P), min_size=inst.N, max_size=inst.N))
+        plan = ReleasePlan(tuple(release))
+        assert repair_plan(inst, plan) == reference_repair_plan(inst, plan)
+
+    def test_loads_add_in_ascending_index(self):
+        # 0.1 + 0.2 + 0.3 > 0.6 in floats, although 0.3 + 0.2 + 0.1 == 0.6.
+        inst = MonrpInstance(
+            N=3, P=1, M=1,
+            cost=(0.1, 0.2, 0.3), risk=(0.0, 0.0, 0.0), weight=(1.0,),
+            importance=((3.0, 1.0, 2.0),), deps=(),
+            budget=(0.6,),
+        )
+        plan = ReleasePlan((1, 1, 1))
+        assert repair_plan(inst, plan) == ReleasePlan((1, 0, 1))
+        assert reference_repair_plan(inst, plan) == ReleasePlan((1, 0, 1))
+
+    def test_release_outside_range_rejected(self):
+        inst = generate(5, 2, 2, 0, 90, seed=1)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            repair_plan(inst, ReleasePlan((0, 1, 3, 0, 0)))
+
+
+def fractional_instance(data) -> MonrpInstance:
+    """A hand-built instance whose costs are not integers, so the order in
+    which a release's costs are added can decide whether it is over budget."""
+    n = data.draw(st.integers(1, 12))
+    p = data.draw(st.integers(1, 4))
+    grain = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 2.35, 1 / 3])
+    cost = tuple(data.draw(st.lists(grain, min_size=n, max_size=n)))
+    importance = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    edges = [(a, b) for a in range(n) for b in range(a)]
+    deps = data.draw(st.lists(st.sampled_from(edges), max_size=n, unique=True)) if edges else []
+    # Round budgets that sums of these costs reach in one order but not in another.
+    budget = data.draw(st.sampled_from([0.3, 0.6, 0.7, 1.0, 1.3, 1.6, 2.0, 3.0, 6.0]))
+    return MonrpInstance(
+        N=n, P=p, M=1,
+        cost=cost,
+        risk=(1.0,) * n,
+        weight=(1.0,),
+        importance=(tuple(float(v) for v in importance),),
+        deps=tuple(deps),
+        budget=(budget,) * p,
+    )
+
+
+class TestSamplePlans:
+    """sample_plans draws word-exactly what reference_random_plan draws,
+    call by call, from the same random.Random, and leaves it in the same
+    state."""
+
+    @staticmethod
+    def assert_same_as_reference(inst, seed, n, warmup=0):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for rng in (ours, theirs):
+            for _ in range(warmup):
+                rng.random()
+            rng.gauss(0.0, 1.0)  # leaves a cached second normal in the state
+        plans = sample_plans(inst, ours, n)
+        assert plans == [reference_random_plan(inst, theirs) for _ in range(n)]
+        assert ours.getstate() == theirs.getstate()
+        return plans
+
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(0, 50),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(0, 1300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_plans_and_state_as_reference(self, n, p, dep, funding, inst_seed, seed, count, warmup):
+        inst = generate(n, p, 2, dep, funding, seed=inst_seed)
+        self.assert_same_as_reference(inst, seed, count, warmup)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_plans_and_evictions_cross_chunk_refills(self, monkeypatch, chunk):
+        monkeypatch.setattr(monrp, "CHUNK_WORDS", chunk)
+        inst = generate(30, 4, 3, 10, 80, seed=2)
+        self.assert_same_as_reference(inst, 17, 60)
+
+    def test_heavy_evictions_at_low_funding(self):
+        inst = generate(15, 4, 3, 50, 10, seed=5)
+        plans = self.assert_same_as_reference(inst, 8, 300)
+        # about 12 of a plan's 15 requirements start in a release; under one stays
+        assert sum(x != 0 for plan in plans for x in plan.release) < len(plans)
+
+    def test_loads_add_in_ascending_index(self):
+        # Once the 4.0 requirement is evicted, 0.1 + 0.2 + 0.3 > 0.6 still
+        # asks for a second eviction, which 0.3 + 0.2 + 0.1 == 0.6 would not.
+        inst = MonrpInstance(
+            N=4, P=1, M=1,
+            cost=(0.1, 0.2, 0.3, 4.0), risk=(0.0,) * 4, weight=(1.0,),
+            importance=((1.0,) * 4,), deps=(),
+            budget=(0.6,),
+        )
+        plans = sample_plans(inst, random.Random(4), 300)
+        assert ReleasePlan((1, 1, 1, 0)) not in plans
+        self.assert_same_as_reference(inst, 4, 300)
+
+    @given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_same_as_reference_on_fractional_costs(self, data, seed, count):
+        self.assert_same_as_reference(fractional_instance(data), seed, count)
+
+    def test_acceptance_scale_pool(self):
+        inst = generate(50, 4, 5, 4, 90, seed=41)
+        self.assert_same_as_reference(inst, 41, 2000)
+
+    def test_empty_sample_rejected(self):
+        inst = generate(5, 2, 2, 0, 90, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_plans(inst, random.Random(0), 0)

@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flashopt import nsga2
+from flashopt import monrp, nsga2
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import binary_dominates, front0
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
@@ -16,6 +17,7 @@ from flashopt.synth import make_synthetic
 
 from conftest import (
     reference_crowding_distance,
+    reference_random_plan,
     reference_rank_and_crowd,
     reference_select,
     reference_snap,
@@ -161,6 +163,31 @@ def selection_cases(draw):
     y = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3))).astype(float)
     pop_size = 2 * draw(st.integers(1, n // 2))
     return y, pop_size, schema
+
+
+class TestMonrpRngContract:
+    """The initial population is one batch draw from the run's own rng,
+    which must leave it exactly where pop one-plan draws would: every
+    crossover and mutation draw after it reads that state."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_run_as_scalar_sampling(self, monkeypatch, seed):
+        inst = generate(30, 4, 3, 10, 80, seed=seed)
+        config = Nsga2Config(pop_size=20, generations=3, seed=seed)
+        batch = run_nsga2(as_problem(inst), config)
+        monkeypatch.setattr(
+            monrp, "sample_plans",
+            lambda inst, rng, n: [reference_random_plan(inst, rng) for _ in range(n)],
+        )
+        scalar = run_nsga2(as_problem(inst), config)
+
+        def decisions(result):
+            return [ev.point.decisions for ev in result.evaluated]
+
+        rng = random.Random(seed)
+        start = [tuple(map(float, reference_random_plan(inst, rng).release)) for _ in range(20)]
+        assert decisions(batch)[:20] == start
+        assert decisions(batch) == decisions(scalar)
 
 
 class TestSelectAgainstReference:
