@@ -1,10 +1,24 @@
 """A from-scratch binary regression tree (CART style).
 
-Greedy recursive partitioning with axis-aligned splits chosen to maximize
-variance reduction; leaves predict the mean target of their samples.
-Candidate thresholds are midpoints between consecutive sorted distinct
-feature values. Ties break to the lowest feature index, then the lowest
+Greedy partitioning with axis-aligned splits chosen to maximize variance
+reduction; leaves predict the mean target of their samples. Candidate
+thresholds are midpoints between consecutive sorted distinct feature
+values. Ties break to the lowest feature index, then the lowest
 threshold, so fitting is deterministic.
+
+The tree grows level by level over presorted columns (the breadth-first
+growth of SLIQ, Mehta, Agrawal & Rissanen, EDBT 1996). Each column is
+stable-argsorted once. Splitting a level keeps each segment's order, so
+every node sees its rows sorted by each feature, ties in ascending row
+order, without sorting again.
+
+Within a level, the nodes with exactly the same row count n form one
+batch: one split search runs over their (B, n) row block, so the numpy
+calls are paid per batch, not per node. Blocks are never padded. A
+node's total is the row sum of its n targets in ascending row order,
+which is numpy's own sum of that node's targets, and its prediction is
+total / n; every prefix sum and gain is the float a node-at-a-time
+search would compute, so the tree is the same node for node.
 """
 
 from __future__ import annotations
@@ -16,6 +30,9 @@ import numpy as np
 # Relative slack so float noise in the sum-of-squares arithmetic never
 # manufactures a zero-gain split.
 _GAIN_EPS = 1e-12
+
+# Row sides while a level is partitioned.
+_LEFT, _RIGHT, _DONE = 0, 1, 2
 
 
 @dataclass
@@ -59,73 +76,132 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
         # A NaN threshold sends every row right, so splitting would never end.
         raise ValueError("decisions must be finite")
 
-    root = TreeNode(n=int(y.size), prediction=float(y.mean()))
-    # Iterative expansion; recursion would overflow on tall degenerate trees.
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(y.size))]
-    while stack:
-        node, idx = stack.pop()
-        split = _best_split(x, y, idx)
-        if split is None:
-            continue
-        feature, threshold = split
-        left_mask = x[idx, feature] <= threshold
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode(n=int(left_idx.size), prediction=float(y[left_idx].mean()))
-        node.right = TreeNode(n=int(right_idx.size), prediction=float(y[right_idx].mean()))
-        stack.append((node.left, left_idx))
-        stack.append((node.right, right_idx))
-    return RegressionTree(root=root, feature_count=x.shape[1], sample_count=int(y.size))
+    n_rows, f = x.shape
+    span = np.arange(n_rows)
+    root = TreeNode(n=n_rows, prediction=0.0)
+    # The frontier: its nodes, and their rows as one segment per node, in
+    # ascending order in `rows`. `ords` holds each segment sorted by each
+    # feature, and `xs` and `ys` the decisions and targets in that order.
+    nodes = [root]
+    rows = span
+    ords = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, ords, axis=1)
+    ys = y[ords]
+    side = np.empty(n_rows, dtype=np.int8)
+    while True:
+        side[rows] = _DONE
+        batches: dict[int, tuple[list[int], list[int]]] = {}
+        start = 0
+        for s, node in enumerate(nodes):
+            segs, starts = batches.setdefault(node.n, ([], []))
+            segs.append(s)
+            starts.append(start)
+            start += node.n
+        lefts: list[TreeNode | None] = [None] * len(nodes)
+        rights: list[TreeNode | None] = [None] * len(nodes)
+        for n, (segs, starts) in batches.items():
+            cols = np.add.outer(starts, span[:n])
+            ysub = y[rows[cols]]
+            total = ysub.sum(axis=1)
+            for s, mean in zip(segs, (total / n).tolist()):
+                nodes[s].prediction = mean
+            if n == 1 or f == 0:  # no candidate split
+                continue
+            live = np.flatnonzero((ysub != ysub[:, :1]).any(axis=1))
+            if live.size < len(segs):  # constant targets make a leaf
+                if live.size == 0:
+                    continue
+                segs = [segs[k] for k in live.tolist()]
+                cols, ysub, total = cols[live], ysub[live], total[live]
+            feature, pos, thresholds = _best_splits(xs[:, cols], ys[:, cols], ysub, total)
+            # The first pos + 1 rows in the chosen feature's order go left.
+            side[ords[feature[:, None], cols]] = span[:n] > pos[:, None]
+            stay = []
+            for k, (s, feat, p, thr) in enumerate(
+                zip(segs, feature.tolist(), pos.tolist(), thresholds)
+            ):
+                if thr is None:
+                    stay.append(k)
+                    continue
+                node = nodes[s]
+                node.feature = feat
+                node.threshold = thr
+                node.left = lefts[s] = TreeNode(n=p + 1, prediction=0.0)
+                node.right = rights[s] = TreeNode(n=n - p - 1, prediction=0.0)
+            if stay:
+                side[rows[cols[stay]]] = _DONE
+        split = [s for s, child in enumerate(lefts) if child is not None]
+        if not split:
+            break
+        # Children in parent order: every left child, then every right
+        # child. Each feature row holds the same rows, so the flat indices
+        # of either side reshape to (f, rows), in each segment's order.
+        nodes = [lefts[s] for s in split] + [rights[s] for s in split]
+        on = side[ords]
+        take = np.concatenate(
+            [np.flatnonzero(on == to).reshape(f, -1) for to in (_LEFT, _RIGHT)], axis=1
+        )
+        ords, xs, ys = (a.ravel()[take] for a in (ords, xs, ys))
+        on = side[rows]
+        rows = np.concatenate([rows[on == to] for to in (_LEFT, _RIGHT)])
+    return RegressionTree(root=root, feature_count=f, sample_count=n_rows)
 
 
-def _best_split(x, y, idx):
-    """One pass over all features at once: gains for every (position,
-    feature) candidate land in one matrix, and the feature-major argmax
-    keeps the tie-break order of lowest feature, then lowest threshold.
-    A one-row node stops at the constant-target check."""
-    n = idx.size
-    ysub = y[idx]
-    if np.all(ysub == ysub[0]):
-        return None
-    total = ysub.sum()
-    total_sq = (ysub * ysub).sum()
+def _best_splits(xs, ys, ysub, total):
+    """Best split of each of B nodes with n rows each. xs and ys (f, B, n)
+    hold each node's decisions and targets sorted by each feature, ysub
+    (B, n) its targets in ascending row order and total (B,) their sums.
+
+    Gains for every (feature, position) candidate land in one (f, B, n-1)
+    array, and a feature-major argmax per node keeps the tie-break order
+    of lowest feature, then lowest threshold. Returns each node's feature
+    and split position pos (rows 0..pos of the sorted feature go left),
+    and a list of thresholds, None where the best gain is within
+    _GAIN_EPS of nothing.
+    """
+    f, b, n = xs.shape
+    total_sq = (ysub * ysub).sum(axis=1)
     parent_sse = total_sq - total * total / n
 
-    sub = x[idx]
-    order = np.argsort(sub, axis=0, kind="stable")
-    xs = np.take_along_axis(sub, order, axis=0)
-    ys = ysub[order]
-
-    valid = xs[1:] != xs[:-1]  # split only between distinct sorted values
-    if not valid.any():
-        return None
-
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    nl = np.arange(1.0, n)[:, None]
-    sl = csum[:-1]
-    ql = csq[:-1]
-    sse_left = ql - sl * sl / nl
+    ys = ys[:, :, :-1]
+    sl = np.cumsum(ys, axis=2)
+    ql = np.cumsum(ys * ys, axis=2)
+    nl = np.arange(1.0, n)
     nr = float(n) - nl
-    sr = total - sl
-    qr = total_sq - ql
-    sse_right = qr - sr * sr / nr
-    gain = parent_sse - (sse_left + sse_right)
-    gain[~valid] = -np.inf
+    # gain = parent_sse - ((ql - sl*sl/nl) + (qr - sr*sr/nr)), operation
+    # for operation, but in place: the top levels' blocks take megabytes,
+    # and every fresh temporary of that size is paged in anew.
+    gain = sl * sl
+    gain /= nl
+    np.subtract(ql, gain, out=gain)
+    sr = np.subtract(total[:, None], sl, out=sl)
+    sr *= sr
+    sr /= nr
+    qr = np.subtract(total_sq[:, None], ql, out=ql)
+    np.subtract(qr, sr, out=sr)
+    gain += sr
+    np.subtract(parent_sse[:, None], gain, out=gain)
+    # Split only between distinct values.
+    np.putmask(gain, xs[:, :, 1:] == xs[:, :, :-1], -np.inf)
 
-    flat = gain.T.reshape(-1)
-    k = int(np.argmax(flat))
-    if flat[k] <= _GAIN_EPS * max(1.0, parent_sse):
-        return None
-    feature, pos = divmod(k, n - 1)
-    pos += 1
-    lo, hi = xs[pos - 1, feature], xs[pos, feature]
-    threshold = 0.5 * (lo + hi)
-    if threshold >= hi:  # adjacent floats can collapse the midpoint
-        threshold = lo
-    return int(feature), float(threshold)
+    k = gain.transpose(1, 0, 2).reshape(b, -1).argmax(axis=1)
+    feature, pos = np.divmod(k, n - 1)
+    node = np.arange(b)
+    thresholds = []
+    for best, sse, lo, hi in zip(
+        gain[feature, node, pos].tolist(),
+        parent_sse.tolist(),
+        xs[feature, node, pos].tolist(),
+        xs[feature, node, pos + 1].tolist(),
+    ):
+        if best <= _GAIN_EPS * max(1.0, sse):
+            thresholds.append(None)
+            continue
+        threshold = 0.5 * (lo + hi)
+        if threshold >= hi:  # adjacent floats can collapse the midpoint
+            threshold = lo
+        thresholds.append(threshold)
+    return feature, pos, thresholds
 
 
 def predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -23,7 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EvaluatedPoint, Problem, ProblemKind, RunResult, Sense, load_tabular
+from .core import (
+    EvaluatedPoint,
+    Problem,
+    ProblemKind,
+    RunResult,
+    Sense,
+    load_tabular,
+    read_utf8,
+)
 from .dominance import front0
 from .flash import FlashConfig, run_flash
 from .metrics import ReferenceFront, gd, igd, reference_front
@@ -252,33 +261,32 @@ def _cmd_tree(args) -> int:
 
 
 def _read_measure(path: str, measure: str) -> dict[str, list[float]]:
-    """Samples of one measure per algorithm from a results file. A missing
-    column, a row of the wrong width, or a non-numeric or non-finite cell
-    is rejected with its path:line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, [])
-        for name in (measure, "algo"):
-            if name not in header:
-                raise ValueError(f"{path}:1: results file has no '{name}' column")
-        algo_col, col = header.index("algo"), header.index(measure)
-        by_algo: dict[str, list[float]] = {}
-        for cells in rows:
-            if not cells:  # a blank line
-                continue
-            where = f"{path}:{rows.line_num}"
-            if len(cells) != len(header):
-                raise ValueError(f"{where}: expected {len(header)} cells, got {len(cells)}")
-            try:
-                value = float(cells[col])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{where}: non-numeric or non-finite cell '{cells[col]}' "
-                    f"in column {measure}"
-                )
-            by_algo.setdefault(cells[algo_col], []).append(value)
+    """Samples of one measure per algorithm from a results file. Bytes that
+    are not UTF-8, a missing column, a row of the wrong width, or a
+    non-numeric or non-finite cell are rejected with their path:line."""
+    rows = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(rows, [])
+    for name in (measure, "algo"):
+        if name not in header:
+            raise ValueError(f"{path}:1: results file has no '{name}' column")
+    algo_col, col = header.index("algo"), header.index(measure)
+    by_algo: dict[str, list[float]] = {}
+    for cells in rows:
+        if not cells:  # a blank line
+            continue
+        where = f"{path}:{rows.line_num}"
+        if len(cells) != len(header):
+            raise ValueError(f"{where}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            value = float(cells[col])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{where}: non-numeric or non-finite cell '{cells[col]}' "
+                f"in column {measure}"
+            )
+        by_algo.setdefault(cells[algo_col], []).append(value)
     return by_algo
 
 

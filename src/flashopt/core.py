@@ -317,6 +317,19 @@ class Problem:
         return clone
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file. Undecodable bytes raise a LoadError that
+    names the path and the line of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise LoadError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
 def load_tabular(path: str | Path) -> Problem:
     """Load a comma-separated measurement table as a TABULAR problem.
 
@@ -325,8 +338,7 @@ def load_tabular(path: str | Path) -> Problem:
     order defines point ids 0..n-1.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_utf8(path).splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:

@@ -53,28 +53,30 @@ def build_domination_tree(
 
 
 def _best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
-    """Path to the leaf with the highest mean score; ties stay leftmost."""
+    """Path to the leaf with the highest mean score; ties stay leftmost.
+
+    One walk, left before right, so the first maximum is the leftmost.
+    Each visited node links back to its parent's link in O(1), and only
+    the winner's chain of links is turned into steps.
+    """
     best_pred = None
-    best: tuple[PathStep, ...] = ()
-    stack: list[tuple[cart.TreeNode, tuple[PathStep, ...]]] = [(tree.root, ())]
-    # DFS visiting left before right, so the first maximum is the leftmost.
-    ordered: list[tuple[tuple[PathStep, ...], float]] = []
+    best_link = None
+    # A link is (parent node, direction taken, the parent's own link).
+    stack: list[tuple[cart.TreeNode, tuple | None]] = [(tree.root, None)]
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
         if node.is_leaf:
-            ordered.append((path, node.prediction))
+            if best_pred is None or node.prediction > best_pred:
+                best_pred = node.prediction
+                best_link = link
             continue
-        stack.append(
-            (node.right, path + (PathStep(node.feature, ">", node.threshold),))
-        )
-        stack.append(
-            (node.left, path + (PathStep(node.feature, "<=", node.threshold),))
-        )
-    for path, pred in ordered:
-        if best_pred is None or pred > best_pred:
-            best_pred = pred
-            best = path
-    return best
+        stack.append((node.right, (node, ">", link)))
+        stack.append((node.left, (node, "<=", link)))
+    steps: list[PathStep] = []
+    while best_link is not None:
+        node, direction, best_link = best_link
+        steps.append(PathStep(node.feature, direction, node.threshold))
+    return tuple(reversed(steps))
 
 
 def _fmt_score(v: float) -> str:

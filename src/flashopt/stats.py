@@ -87,17 +87,25 @@ def scott_knott(
     return RankedGroups(entries=tuple(entries), ranks=tuple(ranks))
 
 
+def _mean(values: list[float]) -> float:
+    """Mean with the values added left to right: the float sum() gave
+    before Python 3.12 made it compensated, on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def _best_split(entries, lo: int, hi: int) -> int:
     """Split index maximizing n_l*(mu_l - mu)^2 + n_r*(mu_r - mu)^2."""
-    flat = [v for _, s in entries[lo:hi] for v in s]
-    mu = sum(flat) / len(flat)
+    mu = _mean([v for _, s in entries[lo:hi] for v in s])
     best_score = None
     best = lo + 1
     for split in range(lo + 1, hi):
         left = [v for _, s in entries[lo:split] for v in s]
         right = [v for _, s in entries[split:hi] for v in s]
-        mu_l = sum(left) / len(left)
-        mu_r = sum(right) / len(right)
+        mu_l = _mean(left)
+        mu_r = _mean(right)
         score = len(left) * (mu_l - mu) ** 2 + len(right) * (mu_r - mu) ** 2
         if best_score is None or score > best_score:
             best_score = score

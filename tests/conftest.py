@@ -15,7 +15,10 @@ NSGA-II's earlier snapping of children to pool rows. Like the library's
 set-level kernels, the references take one objective matrix and answer
 in row indices. reference_random_plan and reference_repair_plan are the
 earlier one-plan-at-a-time MONRP sampler, drawing from a random.Random
-call by call, and the earlier MONRP repair.
+call by call, and the earlier MONRP repair. reference_fit is the earlier
+node-at-a-time CART fit, one argsort and split search per node off a
+stack, and reference_best_path the earlier best-path walk that copies a
+path tuple per node.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import pytest
 from flashopt import cart
 from flashopt.dominance import FrontPartition, nondominated_sort, oriented_matrix
 from flashopt.core import ObjectiveSchema, Sense, min_max_scale
+from flashopt.domtree import PathStep
 from flashopt.monrp import MonrpInstance, ReleasePlan
 
 
@@ -320,7 +324,9 @@ def reference_random_plan(inst: MonrpInstance, rng: random.Random) -> ReleasePla
         over = None
         for k in range(1, inst.P + 1):
             members = [i for i, x in enumerate(release) if x == k]
-            load = sum(inst.cost[i] for i in members)
+            load = 0.0  # left to right, as sum() added floats before Python 3.12
+            for i in members:
+                load += inst.cost[i]
             if load > inst.budget[k - 1]:
                 over = (k, members)
                 break
@@ -344,7 +350,9 @@ def reference_repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan
         evicted = False
         for k in range(1, inst.P + 1):
             members = [i for i, x in enumerate(release) if x == k]
-            load = sum(inst.cost[i] for i in members)
+            load = 0.0  # left to right, as sum() added floats before Python 3.12
+            for i in members:
+                load += inst.cost[i]
             members.sort(key=lambda i: (scores[i], i))
             while load > inst.budget[k - 1] and members:
                 victim = members.pop(0)
@@ -354,6 +362,110 @@ def reference_repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan
         if not evicted:
             break
     return ReleasePlan(tuple(release))
+
+
+def reference_fit(x, y) -> cart.RegressionTree:
+    """CART grown one node at a time off a stack: each node argsorts its
+    own rows and searches its own (n - 1, f) gain matrix."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    root = cart.TreeNode(n=int(y.size), prediction=float(y.mean()))
+    stack = [(root, np.arange(y.size))]
+    while stack:
+        node, idx = stack.pop()
+        split = _reference_best_split(x, y, idx)
+        if split is None:
+            continue
+        feature, threshold = split
+        left_mask = x[idx, feature] <= threshold
+        left_idx = idx[left_mask]
+        right_idx = idx[~left_mask]
+        node.feature = feature
+        node.threshold = threshold
+        node.left = cart.TreeNode(n=int(left_idx.size), prediction=float(y[left_idx].mean()))
+        node.right = cart.TreeNode(n=int(right_idx.size), prediction=float(y[right_idx].mean()))
+        stack.append((node.left, left_idx))
+        stack.append((node.right, right_idx))
+    return cart.RegressionTree(root=root, feature_count=x.shape[1], sample_count=int(y.size))
+
+
+def _reference_best_split(x, y, idx):
+    n = idx.size
+    ysub = y[idx]
+    if np.all(ysub == ysub[0]):
+        return None
+    total = ysub.sum()
+    total_sq = (ysub * ysub).sum()
+    parent_sse = total_sq - total * total / n
+
+    sub = x[idx]
+    order = np.argsort(sub, axis=0, kind="stable")
+    xs = np.take_along_axis(sub, order, axis=0)
+    ys = ysub[order]
+
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    nl = np.arange(1.0, n)[:, None]
+    sl = csum[:-1]
+    ql = csq[:-1]
+    sse_left = ql - sl * sl / nl
+    nr = float(n) - nl
+    sr = total - sl
+    qr = total_sq - ql
+    sse_right = qr - sr * sr / nr
+    gain = parent_sse - (sse_left + sse_right)
+    gain[~valid] = -np.inf
+
+    flat = gain.T.reshape(-1)
+    k = int(np.argmax(flat))
+    if flat[k] <= cart._GAIN_EPS * max(1.0, parent_sse):
+        return None
+    feature, pos = divmod(k, n - 1)
+    pos += 1
+    lo, hi = xs[pos - 1, feature], xs[pos, feature]
+    threshold = 0.5 * (lo + hi)
+    if threshold >= hi:
+        threshold = lo
+    return int(feature), float(threshold)
+
+
+def tree_nodes(tree: cart.RegressionTree) -> list[tuple]:
+    """Every node's (n, prediction, feature, threshold) in preorder, left
+    before right: two trees are identical node for node iff these match."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.n, node.prediction, node.feature, node.threshold))
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
+
+
+def reference_best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
+    """Path to the leftmost leaf with the highest mean, from a walk that
+    carries a whole path tuple per node."""
+    best_pred = None
+    best: tuple[PathStep, ...] = ()
+    stack = [(tree.root, ())]
+    ordered = []
+    while stack:
+        node, path = stack.pop()
+        if node.is_leaf:
+            ordered.append((path, node.prediction))
+            continue
+        stack.append((node.right, path + (PathStep(node.feature, ">", node.threshold),)))
+        stack.append((node.left, path + (PathStep(node.feature, "<=", node.threshold),)))
+    for path, pred in ordered:
+        if best_pred is None or pred > best_pred:
+            best_pred = pred
+            best = path
+    return best
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashopt.cart import fit_arrays, predict_many, tree_size
+from flashopt.core import ObjectiveSchema, Sense
+from flashopt.dominance import domination_scores
+
+from conftest import reference_fit, tree_nodes
 
 
 def four_row_example():
@@ -211,3 +215,70 @@ class TestFitProperties:
         nodes, leaves = tree_size(tree)
         assert leaves == len(reached)
         assert nodes == 2 * leaves - 1
+
+
+def schema_of(senses) -> ObjectiveSchema:
+    return ObjectiveSchema(tuple(f"o{i}" for i in range(len(senses))), tuple(senses))
+
+
+@st.composite
+def grid_decisions(draw, max_rows=80):
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_rows))
+    rows = draw(st.lists(st.lists(st.sampled_from(GRID), min_size=f, max_size=f),
+                         min_size=n, max_size=n))
+    return np.array(rows)
+
+
+@st.composite
+def score_fits(draw):
+    """Grid decisions whose targets are the domination scores of grid-valued
+    objective rows, as in a domination tree: small integers, many ties."""
+    x = draw(grid_decisions())
+    m = draw(st.integers(1, 3))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    objectives = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m),
+                               min_size=len(x), max_size=len(x)))
+    y = domination_scores(np.array(objectives, dtype=float), schema_of(senses))
+    return x, y.astype(float)
+
+
+@st.composite
+def real_fits(draw):
+    """Grid decisions with real-valued targets, as in flash's surrogates."""
+    x = draw(grid_decisions())
+    y = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(x), max_size=len(x)))
+    return x, np.array(y)
+
+
+class TestFitMatchesReference:
+    """The level-wise fit must build the node-at-a-time tree node for node:
+    the same n, prediction, feature and threshold everywhere."""
+
+    @given(score_fits())
+    @settings(max_examples=200, deadline=None)
+    def test_domination_score_targets(self, case):
+        x, y = case
+        assert tree_nodes(fit_arrays(x, y)) == tree_nodes(reference_fit(x, y))
+
+    @given(real_fits())
+    @settings(max_examples=200, deadline=None)
+    def test_real_targets_on_grid_decisions(self, case):
+        x, y = case
+        assert tree_nodes(fit_arrays(x, y)) == tree_nodes(reference_fit(x, y))
+
+    @pytest.mark.parametrize("targets", ["scores", "real"])
+    def test_thousands_of_rows(self, targets):
+        # 2,400 rows: a tall tree whose levels hold hundreds of nodes of
+        # equal size, so most split searches run on (B, n) batches.
+        gen = np.random.default_rng(11)
+        x = gen.integers(0, 5, size=(2400, 12)).astype(float)
+        if targets == "scores":
+            objectives = gen.integers(0, 40, size=(2400, 3)).astype(float)
+            y = domination_scores(objectives, schema_of([Sense.MAX, Sense.MIN, Sense.MIN]))
+            y = y.astype(float)
+        else:
+            y = x @ gen.normal(size=12) + gen.normal(scale=0.1, size=2400)
+        got = tree_nodes(fit_arrays(x, y))
+        assert got == tree_nodes(reference_fit(x, y))
+        assert len(got) > 1000

@@ -268,6 +268,16 @@ class TestMainRun:
         assert main(argv) == 1
         assert f"{table}:4: " in capsys.readouterr().err
 
+    def test_undecodable_table_reports_its_line(self, tmp_path, capsys):
+        table = tmp_path / "latin1.csv"
+        table.write_bytes(b"x,-y\n1,3\n2,2\n3,1 \xff\n")
+        argv = ["run", "--problem", str(table), "--algo", "flash", "--init", "2",
+                "--repeats", "1", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}:4: not UTF-8 text (byte 0xff")
+        assert "Traceback" not in err
+
 
 class TestMainStats:
     def test_baseline_zero_reports_inf(self, tmp_path, capsys):
@@ -334,6 +344,15 @@ class TestMainStats:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{results}:1: results file has no 'algo' column" in err
+
+    def test_undecodable_results_report_their_line(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_bytes(b"run,algo,evals,gd\n0,a,5,0.1\r\n1,\xe9t\xe9,5,0.2\n")
+        code = main(["stats", "--in", str(results), "--measure", "gd", "--baseline", "a"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}:3: not UTF-8 text (byte 0xe9")
+        assert "Traceback" not in err
 
     def test_text_cell_rejected_with_location(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

@@ -1,14 +1,26 @@
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flashopt.domtree import build_domination_tree, render, tree_stats
+from flashopt import cart
+from flashopt.core import ObjectiveSchema, Sense, load_tabular
+from flashopt.dominance import domination_scores
+from flashopt.domtree import _best_path, build_domination_tree, render, tree_stats
 from flashopt.flash import FlashConfig, run_flash
 from flashopt.nsga2 import Nsga2Config, run_nsga2
 from flashopt.synth import make_synthetic
 
-from conftest import brute_domination_scores, senses_of
+from conftest import (
+    brute_domination_scores,
+    reference_best_path,
+    reference_fit,
+    senses_of,
+    tree_nodes,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def points_at(decisions, objectives):
@@ -88,6 +100,32 @@ class TestBuildDominationTree:
             node = node.left if step.direction == "<=" else node.right
         assert node.is_leaf
         assert node.prediction == max(leaf_means)
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("case", ["monrp", "step", "step_small", "tabular"])
+    def test_golden_run_trees(self, case):
+        # Every stored run of the golden lock, as `flashopt tree` fits it.
+        dumps = sorted((GOLDEN / case / "runs").glob("*.csv"))
+        assert dumps
+        for dump in dumps:
+            problem = load_tabular(dump)
+            y = np.array([problem.evaluate(p).objectives.values for p in problem.pool()])
+            x = problem.decision_matrix()
+            targets = domination_scores(y, problem.schema).astype(float)
+            tree = cart.fit_arrays(x, targets)
+            assert tree_nodes(tree) == tree_nodes(reference_fit(x, targets)), dump.name
+            assert _best_path(tree) == reference_best_path(tree), dump.name
+
+    def test_large_tree_best_path(self):
+        gen = np.random.default_rng(3)
+        x = gen.integers(0, 5, size=(3000, 10)).astype(float)
+        y = gen.integers(0, 60, size=(3000, 3)).astype(float)
+        schema = ObjectiveSchema(("a", "b", "c"), (Sense.MAX, Sense.MIN, Sense.MIN))
+        dt = build_domination_tree(x, y, schema, [f"d{i}" for i in range(10)])
+        assert tree_stats(dt)[0] > 1000
+        assert len(dt.best_path) > 5
+        assert dt.best_path == reference_best_path(dt.tree)
 
 
 class TestRender:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -81,6 +82,20 @@ def test_output_matches_golden(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in sorted(want):
         assert got[name] == want[name], f"{case}/{name} differs from the golden copy"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stats_do_not_depend_on_the_sum_builtin(case, monkeypatch):
+    # Python 3.12 made sum() over floats compensated. With the exact
+    # math.fsum standing in for sum() in every flashopt module, the ranking
+    # must still print the frozen bytes on any Python version.
+    for name, module in list(sys.modules.items()):
+        if name == "flashopt" or name.startswith("flashopt."):
+            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    for measure in STATS_MEASURES:
+        got = printed(["stats", "--in", str(GOLDEN / case / "results.csv"),
+                       "--measure", measure, "--baseline", "random"])
+        assert got == (GOLDEN / case / f"stats_{measure}.txt").read_bytes()
 
 
 def freeze() -> None:

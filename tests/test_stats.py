@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashopt.stats import a12, scott_knott
+from flashopt.stats import _mean, a12, scott_knott
 
 
 class TestA12:
@@ -132,3 +132,12 @@ class TestScottKnott:
         ranked = scott_knott([("a", [1.0])])
         with pytest.raises(KeyError):
             ranked.rank_of("missing")
+
+
+class TestMean:
+    def test_adds_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, so the plain left-to-right sum is 0;
+        # a compensated sum (Python 3.12's sum(), math.fsum) gives 1.
+        assert _mean([1e16, 1.0, -1e16]) == 0.0
+        assert _mean([1.0, 1e16, -1e16]) == 0.0
+        assert _mean([1e16, -1e16, 1.0]) == 1.0 / 3
