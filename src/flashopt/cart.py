@@ -31,7 +31,8 @@ import numpy as np
 # manufactures a zero-gain split.
 _GAIN_EPS = 1e-12
 
-# Row sides while a level is partitioned.
+# Row sides while a level is partitioned. A row's "goes right" flag is
+# stored as its side, so _LEFT and _RIGHT must stay False and True.
 _LEFT, _RIGHT, _DONE = 0, 1, 2
 
 
