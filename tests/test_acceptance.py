@@ -1,15 +1,30 @@
 """Acceptance suite: one test per release criterion, at full stated scale.
 
 The expensive protocol experiments (20 seeded repeats, pooled reference
-fronts) are executed once per session and shared by the criteria that read
-them. Each criterion prints a single PASS line when it holds; run with
+fronts) and the domination trees of their flash and nsga2 runs are built
+once per session and shared by the criteria that read them. Each criterion
+prints a single PASS line when it holds; run with
 `pytest -s tests/test_acceptance.py` to see them.
+
+The sha256 digests of every results.csv text, run dump and rendered tree
+are locked in tests/golden/acceptance_digests.json, so the scale-dependent
+paths that the small golden cases barely reach cannot drift unseen. A
+deliberate change of behaviour re-freezes them with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+and says so in CHANGES.md.
 """
 
+import hashlib
+import json
 import math
+import platform
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +37,7 @@ from flashopt.dominance import (
     indicator_value,
     nondominated_sort,
 )
-from flashopt.domtree import build_domination_tree, tree_stats
+from flashopt.domtree import build_domination_tree, render, tree_stats
 from flashopt.metrics import ReferenceFront, gd, igd, reference_front
 from flashopt.monrp import (
     MonrpInstance,
@@ -41,6 +56,8 @@ from conftest import brute_binary_dominates, brute_front_partition
 BASE_SEED = 3
 REPEATS = 20
 PROTOCOL_ALGOS = ["flash", "nsga2", "random"]
+TREE_ALGOS = ("flash", "nsga2")
+DIGESTS = Path(__file__).resolve().parent / "golden" / "acceptance_digests.json"
 
 EXPERIMENT_SPECS = {
     "monrp-0-110": ("monrp:50-4-5-0-110", 10_000),
@@ -55,8 +72,8 @@ def ok(n: int, label: str) -> None:
     print(f"criterion {n} ({label}): PASS", flush=True)
 
 
-@pytest.fixture(scope="session")
-def experiments():
+def run_experiments() -> dict:
+    """Spec name -> (its 20-repeat experiment, wall seconds)."""
     out = {}
     for name, (problem, pool) in EXPERIMENT_SPECS.items():
         spec = ExperimentSpec(
@@ -69,6 +86,51 @@ def experiments():
         started = time.perf_counter()
         out[name] = (run_experiment(spec), time.perf_counter() - started)
     return out
+
+
+def domination_trees(experiments) -> dict:
+    """(spec name, run, algo) -> the domination tree of that run."""
+    trees = {}
+    for name, (result, _) in experiments.items():
+        problem, pool = EXPERIMENT_SPECS[name]
+        base = build_problem(problem, pool, BASE_SEED)
+        for (run, algo), rr in sorted(result.results.items()):
+            if algo in TREE_ALGOS:
+                trees[(name, run, algo)] = build_domination_tree(
+                    np.array([ev.point.decisions for ev in rr.evaluated]),
+                    np.array([ev.objectives.values for ev in rr.evaluated]),
+                    base.schema,
+                    base.decision_names,
+                )
+    return trees
+
+
+def digests(experiments, trees) -> dict:
+    """Spec name -> output name -> sha256 of that output's text."""
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    out = {}
+    for name, (result, _) in sorted(experiments.items()):
+        entry = {"results.csv": sha(result.rows_text)}
+        for (run, algo), text in sorted(result.run_dumps.items()):
+            entry[f"runs/run{run}_{algo}.csv"] = sha(text)
+        for (spec, run, algo), dt in sorted(trees.items()):
+            if spec == name:
+                entry[f"tree_run{run}_{algo}.txt"] = sha(render(dt))
+        out[name] = entry
+    return out
+
+
+@pytest.fixture(scope="session")
+def experiments():
+    return run_experiments()
+
+
+@pytest.fixture(scope="session")
+def trees(experiments):
+    return domination_trees(experiments)
 
 
 def medians(result, algo, field):
@@ -161,25 +223,31 @@ def test_criterion_6_effectiveness_floor(experiments):
     ok(6, "guided-search effectiveness floor")
 
 
-def test_criterion_7_domination_tree_sizes(experiments):
-    for name, (result, _) in experiments.items():
-        problem, pool = EXPERIMENT_SPECS[name]
-        base = build_problem(problem, pool, BASE_SEED)
-        sizes = {"flash": [], "nsga2": []}
-        for (run, algo), rr in result.results.items():
-            if algo in sizes:
-                dt = build_domination_tree(
-                    np.array([ev.point.decisions for ev in rr.evaluated]),
-                    np.array([ev.objectives.values for ev in rr.evaluated]),
-                    base.schema,
-                    base.decision_names,
-                )
+def test_criterion_7_domination_tree_sizes(trees):
+    for name in EXPERIMENT_SPECS:
+        sizes = {algo: [] for algo in TREE_ALGOS}
+        for (spec, _, algo), dt in trees.items():
+            if spec == name:
                 sizes[algo].append(tree_stats(dt))
         for axis, label in ((0, "nodes"), (1, "leaves")):
             flash_med = statistics.median(s[axis] for s in sizes["flash"])
             nsga2_med = statistics.median(s[axis] for s in sizes["nsga2"])
             assert flash_med < nsga2_med, (name, label, flash_med, nsga2_med)
     ok(7, "domination-tree comprehensibility")
+
+
+def test_acceptance_scale_digests(experiments, trees):
+    frozen = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = digests(experiments, trees)
+    assert sorted(got) == sorted(frozen["digests"])
+    for name, entry in sorted(got.items()):
+        want = frozen["digests"][name]
+        assert sorted(entry) == sorted(want), name
+        changed = [key for key in sorted(want) if entry[key] != want[key]]
+        assert not changed, (
+            f"{name}: {len(changed)} outputs differ from the digests frozen under "
+            f"numpy {frozen['numpy']} on {frozen['machine']}, first {changed[0]}"
+        )
 
 
 def test_criterion_8_metric_identities():
@@ -289,3 +357,19 @@ def test_criterion_11_determinism(tmp_path):
     for a, b in zip(first_runs, second_runs):
         assert a.read_bytes() == b.read_bytes()
     ok(11, "byte-identical reruns")
+
+
+def freeze() -> None:
+    experiments = run_experiments()
+    frozen = {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": f"{platform.system()} {platform.machine()}",
+        "digests": digests(experiments, domination_trees(experiments)),
+    }
+    DIGESTS.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"froze {sum(map(len, frozen['digests'].values()))} digests", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    freeze()
