@@ -7,10 +7,10 @@ ranking, wired together by a reproducible benchmark CLI.
 """
 
 from .core import (
-    DecisionPoint,
     EvaluatedPoint,
     ObjectiveSchema,
     ObjectiveVector,
+    Pool,
     Problem,
     ProblemKind,
     RunResult,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     EvaluatedPoint,
+    Pool,
     Problem,
     ProblemKind,
     RunResult,
@@ -99,10 +100,9 @@ def run_random(problem: Problem, budget: int, seed: int) -> RunResult:
     """Budget-matched control: evaluate `budget` uniform pool samples."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    points = problem.sample_pool(budget, seed)
-    evaluated = [problem.evaluate(p) for p in points]
-    best = [evaluated[k] for k in front0(_objectives(evaluated), problem.schema)]
-    return RunResult(evaluated=evaluated, best=best, evals=len(evaluated))
+    pool = problem.sample_pool(budget, seed)
+    y = problem.evaluate(pool.ids, pool.x)
+    return RunResult.from_rows(pool.ids, pool.x, y, front0(y, problem.schema))
 
 
 def _objectives(evaluated: list[EvaluatedPoint]) -> np.ndarray:
@@ -137,12 +137,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         seed_r = spec.seed + r
         pool = None
         if any(a in ("flash", "sway", "random") for a in spec.algorithms):
-            if base.kind is ProblemKind.TABULAR:
-                pool = (
-                    base.pool()
-                    if spec.pool >= base.pool_size
-                    else base.sample_pool(spec.pool, seed_r)
-                )
+            if base.kind is ProblemKind.TABULAR and spec.pool >= base.pool_size:
+                pool = Pool(np.arange(base.pool_size), base.x)
             else:
                 pool = base.sample_pool(spec.pool, seed_r)
         flash_evals: int | None = None
@@ -219,7 +215,7 @@ def _dump_csv(problem: Problem, result: RunResult) -> str:
     ]
     lines = [",".join(header)]
     for ev in result.evaluated:
-        cells = [repr(v) for v in ev.point.decisions]
+        cells = [repr(v) for v in ev.decisions.tolist()]
         cells += [repr(v) for v in ev.objectives.values]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -250,10 +246,7 @@ def _cmd_tree(args) -> int:
     if not dump.exists():
         raise FileNotFoundError(f"no stored run at {dump}")
     problem = load_tabular(dump)
-    y = _objectives([problem.evaluate(p) for p in problem.pool()])
-    dt = build_domination_tree(
-        problem.decision_matrix(), y, problem.schema, problem.decision_names
-    )
+    dt = build_domination_tree(problem.x, problem.y, problem.schema, problem.decision_names)
     print(render(dt))
     nodes, leaves = tree_stats(dt)
     print(f"nodes={nodes} leaves={leaves}")

@@ -1,9 +1,14 @@
 """Shared domain types, the problem abstraction, and tabular problem loading.
 
-A Problem is either TABULAR (a finite pool of pre-measured rows) or
-GENERATIVE (a sampler of n decision vectors at a time plus an evaluator).
-Every fitness measurement goes through :meth:`Problem.evaluate`, which is
-the only operation that touches the evaluation counter.
+A Problem is either TABULAR (a decision matrix x and an objective matrix y
+of pre-measured rows) or GENERATIVE (a sampler of an (n, d) decision
+matrix at a time plus an evaluator). A repeat's candidates are a Pool of
+ids and decision rows, drawn by Problem.sample_pool for both kinds. Every
+fitness measurement goes through :meth:`Problem.evaluate`, which takes a
+block of rows and is the only operation that touches the evaluation
+counter. Optimizers keep their evaluations as arrays and build the
+per-row EvaluatedPoint records once, at the end of a run, with
+RunResult.from_rows.
 """
 
 from __future__ import annotations
@@ -55,48 +60,20 @@ class ObjectiveSchema:
 
 
 @dataclass(frozen=True)
-class DecisionPoint:
-    """A decision vector with a pool-unique id."""
-
-    id: int
-    decisions: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("point id must be non-negative")
-
-
-@dataclass(frozen=True)
 class ObjectiveVector:
     """Measured or predicted objective values aligned with a schema."""
 
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"objective values must be finite, got {self.values}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluatedPoint:
-    """A decision point paired with its measured objectives.
+    """One evaluation of a run: the pool id of the row, its decision row (a
+    view of the run's decision matrix) and its measured objectives."""
 
-    eval_index is the 0-based order in which the owning problem instance
-    performed the evaluation; it is unique within a run.
-    """
-
-    point: DecisionPoint
+    id: int
+    decisions: np.ndarray
     objectives: ObjectiveVector
-    eval_index: int
 
 
 @dataclass
@@ -121,6 +98,29 @@ class RunResult:
     evals: int
     trace: list[IterationRecord] = field(default_factory=list)
 
+    @classmethod
+    def from_rows(cls, ids, x: np.ndarray, y: np.ndarray, best, trace=None) -> "RunResult":
+        """The records of a run kept as arrays: row k of ids, x and y is its
+        k-th evaluation, and best holds the rows of its final front."""
+        evaluated = [
+            EvaluatedPoint(i, d, ObjectiveVector(tuple(o)))
+            for i, d, o in zip(np.asarray(ids).tolist(), x, y.tolist())
+        ]
+        best = [evaluated[k] for k in np.asarray(best).tolist()]
+        return cls(evaluated, best, len(evaluated), trace or [])
+
+
+@dataclass(frozen=True)
+class Pool:
+    """A repeat's candidate rows: row k has decisions x[k] and the
+    pool-unique id ids[k]."""
+
+    ids: np.ndarray
+    x: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
 
 def min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per-column (x - lo) / (hi - lo); a zero-span column maps to 0."""
@@ -136,10 +136,10 @@ class LoadError(ValueError):
 class Problem:
     """An evaluable search space with an evaluation counter.
 
-    TABULAR problems hold an enumerated pool of rows with pre-measured
-    objectives; evaluating a row twice returns identical objectives while
-    still counting both calls. GENERATIVE problems sample fresh decision
-    vectors and compute objectives on demand.
+    TABULAR problems hold n pre-measured rows, decisions x (n, d) and
+    objectives y (n, m); evaluating a row twice returns identical
+    objectives while still counting both. GENERATIVE problems sample fresh
+    decision rows and compute objectives on demand.
     """
 
     def __init__(
@@ -149,10 +149,10 @@ class Problem:
         decision_names: Sequence[str],
         schema: ObjectiveSchema,
         kind: ProblemKind,
-        pool: Sequence[DecisionPoint] | None = None,
-        measured: Sequence[tuple[float, ...]] | None = None,
-        sampler: Callable[[random.Random, int], list[tuple[float, ...]]] | None = None,
-        evaluator: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
+        x: np.ndarray | None = None,
+        y: np.ndarray | None = None,
+        sampler: Callable[[random.Random, int], np.ndarray] | None = None,
+        evaluator: Callable[[Sequence[float]], Sequence[float]] | None = None,
         repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
     ):
@@ -161,23 +161,14 @@ class Problem:
         self.schema = schema
         self.kind = kind
         self.eval_count = 0
-        self._pool = list(pool) if pool is not None else None
-        self._measured = list(measured) if measured is not None else None
+        self.x = x
+        self.y = y
         self._sampler = sampler
         self._evaluator = evaluator
         self._repairer = repairer
         self._gene_values = (
             tuple(tuple(vs) for vs in gene_values) if gene_values is not None else None
         )
-        self._decision_matrix: np.ndarray | None = None
-        if kind is ProblemKind.TABULAR:
-            if self._pool is None or self._measured is None:
-                raise ValueError("tabular problem needs pool and measured objectives")
-            if len(self._pool) != len(self._measured):
-                raise ValueError("pool and measured objectives differ in length")
-        else:
-            if self._sampler is None or self._evaluator is None:
-                raise ValueError("generative problem needs sampler and evaluator")
 
     @classmethod
     def tabular(
@@ -185,18 +176,30 @@ class Problem:
         name: str,
         decision_names: Sequence[str],
         schema: ObjectiveSchema,
-        rows: Sequence[Sequence[float]],
-        objectives: Sequence[Sequence[float]],
+        x,
+        y,
     ) -> "Problem":
-        pool = [DecisionPoint(i, tuple(float(v) for v in r)) for i, r in enumerate(rows)]
-        measured = [tuple(float(v) for v in o) for o in objectives]
+        """A table of measured rows: decisions x (n, d), objectives y (n, m).
+        Rows without a partner and non-finite values are rejected here, with
+        the first bad row named."""
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
+        d, m = len(decision_names), len(schema)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != d or y.shape[1] != m:
+            raise ValueError(f"{name}: need decisions (n, {d}) and objectives (n, {m})")
+        if len(x) != len(y):
+            missing = "objectives" if len(x) > len(y) else "decisions"
+            raise ValueError(f"{name}: row {min(len(x), len(y))} has no {missing}")
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{name}: non-finite value in row {int(np.argmin(finite))}")
         return cls(
             name=name,
             decision_names=decision_names,
             schema=schema,
             kind=ProblemKind.TABULAR,
-            pool=pool,
-            measured=measured,
+            x=x,
+            y=y,
         )
 
     @classmethod
@@ -205,8 +208,8 @@ class Problem:
         name: str,
         decision_names: Sequence[str],
         schema: ObjectiveSchema,
-        sampler: Callable[[random.Random, int], list[tuple[float, ...]]],
-        evaluator: Callable[[tuple[float, ...]], tuple[float, ...]],
+        sampler: Callable[[random.Random, int], np.ndarray],
+        evaluator: Callable[[Sequence[float]], Sequence[float]],
         repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
     ) -> "Problem":
@@ -227,34 +230,16 @@ class Problem:
 
     @property
     def pool_size(self) -> int:
-        if self._pool is None:
+        if self.x is None:
             raise ValueError(f"{self.name}: generative problems have no fixed pool")
-        return len(self._pool)
-
-    def pool(self) -> list[DecisionPoint]:
-        if self._pool is None:
-            raise ValueError(f"{self.name}: generative problems have no fixed pool")
-        return list(self._pool)
-
-    def decision_matrix(self) -> np.ndarray:
-        """Pool decisions as an n-by-arity array (TABULAR only). Cached."""
-        if self._pool is None:
-            raise ValueError(f"{self.name}: generative problems have no fixed pool")
-        if self._decision_matrix is None:
-            self._decision_matrix = np.array(
-                [p.decisions for p in self._pool], dtype=float
-            )
-        return self._decision_matrix
+        return len(self.x)
 
     def gene_values(self) -> tuple[tuple[float, ...], ...]:
         """Per-gene valid value sets, used by mutation operators."""
         if self._gene_values is not None:
             return self._gene_values
         if self.kind is ProblemKind.TABULAR:
-            mat = self.decision_matrix()
-            self._gene_values = tuple(
-                tuple(sorted(set(mat[:, j].tolist()))) for j in range(self.decision_arity)
-            )
+            self._gene_values = tuple(tuple(sorted(set(col.tolist()))) for col in self.x.T)
             return self._gene_values
         raise ValueError(f"{self.name}: no gene value sets available")
 
@@ -263,51 +248,57 @@ class Problem:
             return decisions
         return self._repairer(decisions)
 
-    def evaluate(self, point: DecisionPoint) -> EvaluatedPoint:
-        """Measure one point. Increments the evaluation counter by exactly 1."""
-        if len(point.decisions) != self.decision_arity:
+    def evaluate(self, ids, x) -> np.ndarray:
+        """Measure the decision rows x, with pool ids ids; return their
+        (k, m) objective block. Adds k to the evaluation counter."""
+        ids = np.asarray(ids)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(ids), self.decision_arity):
             raise ValueError(
-                f"{self.name}: point arity {len(point.decisions)} != {self.decision_arity}"
+                f"{self.name}: {x.shape} decision block for {len(ids)} ids "
+                f"of arity {self.decision_arity}"
             )
         if self.kind is ProblemKind.TABULAR:
-            if not 0 <= point.id < len(self._pool):
-                raise ValueError(f"{self.name}: unknown point id {point.id}")
-            if self._pool[point.id].decisions != point.decisions:
-                raise ValueError(
-                    f"{self.name}: point {point.id} does not match the pool row"
-                )
-            values = self._measured[point.id]
+            if len(ids) and not 0 <= ids.min() <= ids.max() < len(self.x):
+                raise ValueError(f"{self.name}: unknown point id in {ids.tolist()}")
+            if not np.array_equal(self.x[ids], x):
+                raise ValueError(f"{self.name}: rows do not match the table at their ids")
+            y = self.y[ids]
         else:
-            values = tuple(float(v) for v in self._evaluator(point.decisions))
-            if len(values) != len(self.schema):
-                raise ValueError(f"{self.name}: evaluator returned {len(values)} objectives")
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{self.name}: non-finite objective for id {point.id}")
-        ev = EvaluatedPoint(point, ObjectiveVector(values), self.eval_count)
-        self.eval_count += 1
-        return ev
+            y = np.array([self._evaluator(row) for row in x.tolist()], dtype=float)
+            if y.shape != (len(ids), len(self.schema)):
+                raise ValueError(f"{self.name}: evaluator returned {y.shape[-1]} objectives")
+            finite = np.isfinite(y).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"{self.name}: non-finite objective for id {ids[np.argmin(finite)]}"
+                )
+        self.eval_count += len(ids)
+        return y
 
-    def sample_decisions(self, rng: random.Random, n: int) -> list[tuple[float, ...]]:
-        """Draw n fresh valid decision vectors (GENERATIVE only). A sampler
-        leaves rng where n one-vector draws would, so callers may keep
-        drawing from it."""
+    def sample_decisions(self, rng: random.Random, n: int) -> np.ndarray:
+        """Draw n fresh valid decision rows (GENERATIVE only), as an (n, d)
+        matrix. A sampler leaves rng where n one-row draws would, so
+        callers may keep drawing from it."""
         if self._sampler is None:
             raise ValueError(f"{self.name}: tabular problems sample rows, not vectors")
         return self._sampler(rng, n)
 
-    def sample_pool(self, n: int, seed: int) -> list[DecisionPoint]:
-        """Seeded decision sample: without replacement for TABULAR pools,
-        fresh valid vectors for GENERATIVE problems."""
+    def sample_pool(self, n: int, seed: int) -> Pool:
+        """Seeded pool of n rows: drawn without replacement from a TABULAR
+        table, ids its row numbers; fresh valid rows of a GENERATIVE
+        problem, ids 0..n-1."""
         if n < 1:
             raise ValueError("sample size must be at least 1")
         rng = random.Random(seed)
         if self.kind is ProblemKind.TABULAR:
-            if n > len(self._pool):
+            if n > len(self.x):
                 raise ValueError(
-                    f"{self.name}: sample of {n} exceeds pool size {len(self._pool)}"
+                    f"{self.name}: sample of {n} exceeds pool size {len(self.x)}"
                 )
-            return rng.sample(self._pool, n)
-        return [DecisionPoint(i, d) for i, d in enumerate(self._sampler(rng, n))]
+            ids = np.array(rng.sample(range(len(self.x)), n))
+            return Pool(ids, self.x[ids])
+        return Pool(np.arange(n), self._sampler(rng, n))
 
     def fresh(self) -> "Problem":
         """A clone with a zeroed evaluation counter, sharing the data."""
@@ -335,10 +326,11 @@ def load_tabular(path: str | Path) -> Problem:
 
     One header line; decision columns are unprefixed, objective columns are
     prefixed '-' (minimize) or '+' (maximize). All cells finite numbers. Row
-    order defines point ids 0..n-1.
+    order defines point ids 0..n-1. Lines end at CR, LF or CR LF only, as
+    in csv. The first fault in line order is reported with its path:line.
     """
     path = Path(path)
-    lines = read_utf8(path).splitlines()
+    lines = read_utf8(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
@@ -373,41 +365,53 @@ def load_tabular(path: str | Path) -> Problem:
         raise LoadError(f"{path}:1: duplicate decision names")
     schema = ObjectiveSchema(tuple(obj_names), tuple(senses))
 
-    rows: list[tuple[float, ...]] = []
-    measured: list[tuple[float, ...]] = []
-    seen: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
+    width = len(header)
+    rows: list[list[float]] = []
+    fault: LoadError | None = None
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise LoadError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-            )
-        parsed: list[float] = []
-        for col, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise LoadError(
-                    f"{path}:{lineno}: non-numeric or non-finite cell '{cell}' "
-                    f"in column {col + 1}"
-                )
-            parsed.append(value)
-        dec = tuple(parsed[i] for i in decision_idx)
-        obj = tuple(parsed[i] for i in objective_idx)
-        if dec in seen:
-            prev_line, prev_obj = seen[dec]
-            if prev_obj != obj:
-                raise LoadError(
-                    f"{path}:{lineno}: row duplicates line {prev_line} "
-                    "with conflicting objectives"
-                )
-        else:
-            seen[dec] = (lineno, obj)
-        rows.append(dec)
-        measured.append(obj)
+        cells = line.split(",")
+        if len(cells) != width:
+            fault = LoadError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+            break
+        try:
+            rows.append([float(c.strip()) for c in cells])
+        except ValueError:
+            fault = _bad_cell(path, lineno, cells)
+            break
+    table = np.array(rows).reshape(len(rows), width)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        fault = _bad_cell(path, k + 2, lines[k + 1].split(","))
+        table = table[:k]
+    # A duplicate before the first bad line is the first fault. np.unique
+    # groups rows by float equality (0.0 == -0.0), and with return_index
+    # its sort is stable, so first holds the earliest row of each group.
+    x, y = table[:, decision_idx], table[:, objective_idx]
+    _, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    owner = first[group.reshape(-1)]
+    conflicts = np.flatnonzero((y != y[owner]).any(axis=1))
+    if len(conflicts):
+        k = conflicts[0]
+        raise LoadError(
+            f"{path}:{k + 2}: row duplicates line {owner[k] + 2} with conflicting objectives"
+        )
+    if fault is not None:
+        raise fault
     if not rows:
         raise LoadError(f"{path}: no data rows")
+    return Problem.tabular(path.stem, decision_names, schema, x, y)
 
-    return Problem.tabular(path.stem, decision_names, schema, rows, measured)
+
+def _bad_cell(path: Path, lineno: int, cells: list[str]) -> LoadError:
+    """The error for the first non-numeric or non-finite cell of a line."""
+    for col, cell in enumerate(c.strip() for c in cells):
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        return LoadError(
+            f"{path}:{lineno}: non-numeric or non-finite cell '{cell}' in column {col + 1}"
+        )
+    raise AssertionError(f"{path}:{lineno}: no bad cell")

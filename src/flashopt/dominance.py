@@ -19,8 +19,7 @@ Two families of comparison are used throughout the toolkit:
 
 Set-level kernels take one (n, m) objective matrix, row k the k-th
 point of the set, and answer in row indices. The pairwise predicates take
-two vectors, ObjectiveVector instances or plain sequences of floats; both
-are compared against the given schema.
+two sequences of floats, each as long as the schema.
 """
 
 from __future__ import annotations

@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cart
-from .core import (
-    DecisionPoint,
-    EvaluatedPoint,
-    IterationRecord,
-    ObjectiveSchema,
-    Problem,
-    RunResult,
-)
+from .core import IterationRecord, ObjectiveSchema, Pool, Problem, RunResult
 from .dominance import front0, nondominated_mask, _class_scores
 
 
@@ -42,7 +35,7 @@ class FlashConfig:
             raise ValueError("lives must be at least 1")
 
 
-def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConfig) -> RunResult:
+def run_flash(problem: Problem, pool: Pool, config: FlashConfig) -> RunResult:
     """Optimize over a finite candidate pool.
 
     Row k of the run's objective matrix y is its k-th evaluation, of pool
@@ -50,40 +43,34 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
     the best rows plus itself, that is, iff a member of that front
     dominates it; one that joins or reshapes the front costs none.
     """
-    pool = list(pool)
-    if config.size0 > len(pool):
-        raise ValueError(f"size0={config.size0} exceeds pool of {len(pool)}")
+    n = len(pool)
+    if config.size0 > n:
+        raise ValueError(f"size0={config.size0} exceeds pool of {n}")
     schema = problem.schema
     rng = random.Random(config.seed)
-    pool_x = np.array([p.decisions for p in pool], dtype=float).reshape(
-        len(pool), problem.decision_arity
-    )
-    pool_ids = np.array([p.id for p in pool], dtype=int)
-    y = np.empty((len(pool), len(schema)))
-    unevaluated = np.ones(len(pool), dtype=bool)
-    evaluated: list[EvaluatedPoint] = []
+    y = np.empty((n, len(schema)))
+    unevaluated = np.ones(n, dtype=bool)
     rows: list[int] = []
 
-    def evaluate(row: int) -> None:
-        ev = problem.evaluate(pool[row])
-        y[len(evaluated)] = ev.objectives.values
-        evaluated.append(ev)
-        rows.append(row)
-        unevaluated[row] = False
+    def evaluate(picked: list[int]) -> None:
+        y[len(rows) : len(rows) + len(picked)] = problem.evaluate(
+            pool.ids[picked], pool.x[picked]
+        )
+        rows.extend(picked)
+        unevaluated[picked] = False
 
-    for row in rng.sample(range(len(pool)), config.size0):
-        evaluate(row)
-    best = front0(y[: len(evaluated)], schema).tolist()
+    evaluate(rng.sample(range(n), config.size0))
+    best = front0(y[: len(rows)], schema).tolist()
     lives = config.lives
     trace: list[IterationRecord] = []
 
-    while lives > 0 and len(evaluated) < len(pool):
-        x_train = pool_x[rows]
-        models = [cart.fit_arrays(x_train, y[: len(evaluated), j]) for j in range(len(schema))]
+    while lives > 0 and len(rows) < n:
+        x_train = pool.x[rows]
+        models = [cart.fit_arrays(x_train, y[: len(rows), j]) for j in range(len(schema))]
         cand = np.flatnonzero(unevaluated)
-        pick = what_to_evaluate_next(pool_x[cand], pool_ids[cand], models, schema)
-        new = len(evaluated)
-        evaluate(int(cand[pick]))
+        pick = what_to_evaluate_next(pool.x[cand], pool.ids[cand], models, schema)
+        new = len(rows)
+        evaluate([int(cand[pick])])
 
         grown = best + [new]
         kept = front0(y[grown], schema)
@@ -91,10 +78,9 @@ def run_flash(problem: Problem, pool: Sequence[DecisionPoint], config: FlashConf
             lives -= 1
         else:
             best = [grown[k] for k in kept]
-        trace.append(IterationRecord(evaluated[new].point.id, lives, len(best)))
+        trace.append(IterationRecord(int(pool.ids[rows[new]]), lives, len(best)))
 
-    best_points = [evaluated[k] for k in best]
-    return RunResult(evaluated=evaluated, best=best_points, evals=len(evaluated), trace=trace)
+    return RunResult.from_rows(pool.ids[rows], pool.x[rows], y[: len(rows)], best, trace)
 
 
 def what_to_evaluate_next(

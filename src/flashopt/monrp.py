@@ -387,10 +387,10 @@ def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
     arity = inst.N
     levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every vector
 
-    def sampler(rng: random.Random, n: int) -> list[tuple[float, ...]]:
-        return [tuple([levels[x] for x in plan.release]) for plan in sample_plans(inst, rng, n)]
+    def sampler(rng: random.Random, n: int) -> np.ndarray:
+        return np.array([plan.release for plan in sample_plans(inst, rng, n)], dtype=float)
 
-    def evaluator(decisions: tuple[float, ...]) -> tuple[float, ...]:
+    def evaluator(decisions: list[float]) -> tuple[float, ...]:
         plan = ReleasePlan(tuple(int(v) for v in decisions))
         return evaluate_plan(inst, plan).values
 

@@ -18,15 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    DecisionPoint,
-    EvaluatedPoint,
-    ObjectiveSchema,
-    Problem,
-    ProblemKind,
-    RunResult,
-    min_max_scale,
-)
+from .core import ObjectiveSchema, Problem, ProblemKind, RunResult, min_max_scale
 from .dominance import _ordered_sum, front0, nondominated_sort
 
 CROSSOVER_PROB = 0.9  # per pair of parents; each gene then mutates with 1 / arity
@@ -101,59 +93,51 @@ def pool_snapper(
 
 
 def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
-    """Row k of the run's objective matrix y is its k-th evaluation. The
-    population is an array of rows of y, in selection order; ascending
-    rows are ascending evaluation order."""
+    """Row k of the run's decision matrix x and objective matrix y is its
+    k-th evaluation, with id ids[k]: its pool row on tabular problems, k on
+    generative ones. The population is an array of rows, in selection
+    order; ascending rows are ascending evaluation order.
+
+    A generation's children are bred first, then snapped or repaired and
+    evaluated as one block. Only breeding draws from the rng, so the
+    draws keep the order of child-by-child evaluation."""
     rng = random.Random(config.seed)
     arity = problem.decision_arity
     p_mut = 1.0 / arity
     gene_values = problem.gene_values()
     pop = config.pop_size
+    total = pop * (config.generations + 1)
+    ids = np.arange(total)
+    x = np.empty((total, arity))
+    y = np.empty((total, len(problem.schema)))
 
     tabular = problem.kind is ProblemKind.TABULAR
     if tabular:
         if pop > problem.pool_size:
             raise ValueError(f"pop_size {pop} exceeds pool of {problem.pool_size}")
-        rows = problem.pool()
-        start = rng.sample(range(len(rows)), pop)
-        points = [rows[i] for i in start]
-        snap = pool_snapper(problem.decision_matrix(), start)
+        start = rng.sample(range(problem.pool_size), pop)
+        snap = pool_snapper(problem.x, start)
+        ids[:pop] = start
+        x[:pop] = problem.x[start]
     else:
-        points = [DecisionPoint(i, d) for i, d in enumerate(problem.sample_decisions(rng, pop))]
-    next_id = pop
+        x[:pop] = problem.sample_decisions(rng, pop)
+    y[:pop] = problem.evaluate(ids[:pop], x[:pop])
 
-    evaluated: list[EvaluatedPoint] = []
-    y = np.empty((pop * (config.generations + 1), len(problem.schema)))
-
-    def evaluate(point: DecisionPoint) -> None:
-        ev = problem.evaluate(point)
-        y[len(evaluated)] = ev.objectives.values
-        evaluated.append(ev)
-
-    def make_child(decisions: list[float]) -> DecisionPoint:
-        nonlocal next_id
-        if tabular:
-            return rows[snap(decisions)]
-        repaired = problem.repair(tuple(decisions))
-        point = DecisionPoint(next_id, repaired)
-        next_id += 1
-        return point
-
-    for point in points:
-        evaluate(point)
     population = np.arange(pop)
     _, ranks, crowd = _select(y[:pop], pop, problem.schema)
-    for _ in range(config.generations):
-        def tournament() -> tuple[float, ...]:
+    for first in range(pop, total, pop):
+        parents = x[population].tolist()
+
+        def tournament() -> list[float]:
             a = rng.randrange(pop)
             b = rng.randrange(pop)
             if ranks[a] != ranks[b]:
                 a = a if ranks[a] < ranks[b] else b
             elif crowd[a] != crowd[b]:
                 a = a if crowd[a] > crowd[b] else b
-            return evaluated[population[a]].point.decisions
+            return parents[a]
 
-        first = len(evaluated)
+        children = []
         for _ in range(pop // 2):
             p1 = tournament()
             p2 = tournament()
@@ -172,16 +156,22 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
                 for g in range(arity):
                     if rng.random() < p_mut:
                         child[g] = rng.choice(gene_values[g])
-                evaluate(make_child(child))
-        combined = np.concatenate([np.sort(population), np.arange(first, len(evaluated))])
+                children.append(child)
+        block = slice(first, first + pop)
+        if tabular:
+            ids[block] = [snap(child) for child in children]
+            x[block] = problem.x[ids[block]]
+        else:
+            x[block] = [problem.repair(tuple(child)) for child in children]
+        y[block] = problem.evaluate(ids[block], x[block])
+        combined = np.concatenate([np.sort(population), np.arange(first, first + pop)])
         chosen, rank_all, crowd_all = _select(y[combined], pop, problem.schema)
         population = combined[chosen]
         ranks = rank_all[chosen].tolist()
         crowd = crowd_all[chosen].tolist()
 
     final = np.sort(population)
-    best = [evaluated[k] for k in final[front0(y[final], problem.schema)]]
-    return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=[])
+    return RunResult.from_rows(ids, x, y, final[front0(y[final], problem.schema)])
 
 
 def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):

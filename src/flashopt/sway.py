@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import DecisionPoint, EvaluatedPoint, Problem, RunResult, min_max_scale
-from .dominance import _class_wins, _pair, front0
+from .core import Pool, Problem, RunResult, min_max_scale
+from .dominance import _class_wins, front0
 
 
 class DegenerateItems(ValueError):
@@ -35,58 +34,48 @@ class SwayConfig:
             raise ValueError("enough must be at least 2")
 
 
-def two_distant_points(
-    items: Sequence[DecisionPoint], seed: int
-) -> tuple[DecisionPoint, DecisionPoint]:
-    """FastMap pole heuristic: farthest from a seeded random anchor, then
-    farthest from that. Distances are Euclidean over min-max normalized
-    decision columns; ties go to the lowest id."""
-    items = list(items)
-    if len(items) < 2:
+def two_distant_points(x: np.ndarray, ids: np.ndarray, seed: int) -> tuple[int, int]:
+    """FastMap pole heuristic over the decision rows x, with ids ids:
+    farthest from a seeded random anchor, then farthest from that.
+    Distances are Euclidean over min-max normalized decision columns; ties
+    go to the lowest id. Returns the rows of the two poles."""
+    if len(x) < 2:
         raise ValueError("need at least 2 items to pick poles")
-    matrix = np.array([p.decisions for p in items], dtype=float)
-    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    lo, hi = x.min(axis=0), x.max(axis=0)
     if np.all(hi == lo):
         raise DegenerateItems("all items identical in decision space")
-    normed = min_max_scale(matrix, lo, hi)
-    rng = random.Random(seed)
-    anchor = rng.randrange(len(items))
+    normed = min_max_scale(x, lo, hi)
+    anchor = random.Random(seed).randrange(len(x))
 
     def farthest_from(row: int) -> int:
         d = ((normed - normed[row]) ** 2).sum(axis=1)
-        top = d.max()
-        tied = np.nonzero(d == top)[0]
-        return min(tied, key=lambda k: items[k].id)
+        tied = np.flatnonzero(d == d.max())
+        return int(tied[np.argmin(ids[tied])])
 
     west = farthest_from(anchor)
-    east = farthest_from(west)
-    return items[west], items[east]
+    return west, farthest_from(west)
 
 
-def project(
-    items: Sequence[DecisionPoint], west: DecisionPoint, east: DecisionPoint
-) -> list[float]:
-    """Position of every item on the west-east axis via the cosine rule:
-    pos = (a^2 + c^2 - b^2) / (2c) with a, b the distances to the poles and
-    c the pole separation. west projects to 0 and east to c."""
-    items = list(items)
-    matrix = np.array(
-        [p.decisions for p in items] + [west.decisions, east.decisions], dtype=float
-    )
-    normed = min_max_scale(matrix, matrix.min(axis=0), matrix.max(axis=0))
-    w = normed[-2]
-    e = normed[-1]
+def project(x: np.ndarray, west: int, east: int) -> np.ndarray:
+    """Position of every row of x on the axis from row west to row east,
+    by the cosine rule: pos = (a^2 + c^2 - b^2) / (2c) with a, b the
+    distances to the poles and c the pole separation, over min-max
+    normalized columns. west projects to 0 and east to c."""
+    normed = min_max_scale(x, x.min(axis=0), x.max(axis=0))
+    w = normed[west]
+    e = normed[east]
     c = float(np.sqrt(((e - w) ** 2).sum()))
     if c == 0.0:
         raise ValueError("degenerate poles: west equals east in decision space")
-    body = normed[:-2]
-    a2 = ((body - w) ** 2).sum(axis=1)
-    b2 = ((body - e) ** 2).sum(axis=1)
-    return [float(v) for v in (a2 + c * c - b2) / (2.0 * c)]
+    a2 = ((normed - w) ** 2).sum(axis=1)
+    b2 = ((normed - e) ** 2).sum(axis=1)
+    return (a2 + c * c - b2) / (2.0 * c)
 
 
-def run_sway(problem: Problem, pool: Sequence[DecisionPoint], config: SwayConfig) -> RunResult:
-    pool = list(pool)
+def run_sway(problem: Problem, pool: Pool, config: SwayConfig) -> RunResult:
+    """Recursion over arrays of pool rows. Each evaluate call measures one
+    pole or one whole leaf; the run's k-th evaluation is row k of the
+    concatenated calls."""
     if len(pool) < 2:
         raise ValueError("pool must hold at least 2 points")
     enough = config.enough
@@ -95,47 +84,45 @@ def run_sway(problem: Problem, pool: Sequence[DecisionPoint], config: SwayConfig
     schema = problem.schema
     rng = random.Random(config.seed)
 
-    pole_cache: dict[int, EvaluatedPoint] = {}
-    evaluated: list[EvaluatedPoint] = []
+    taken: list[np.ndarray] = []  # the pool rows of each evaluate call
+    measured: list[np.ndarray] = []  # and their objective rows
+    pole_cache: dict[int, np.ndarray] = {}
 
-    def eval_pole(p: DecisionPoint) -> EvaluatedPoint:
-        if p.id not in pole_cache:
-            ev = problem.evaluate(p)
-            pole_cache[p.id] = ev
-            evaluated.append(ev)
-        return pole_cache[p.id]
+    def measure(rows: np.ndarray) -> np.ndarray:
+        taken.append(rows)
+        measured.append(problem.evaluate(pool.ids[rows], pool.x[rows]))
+        return measured[-1]
 
-    def emit(items: list[DecisionPoint]) -> None:
-        for p in items:
-            evaluated.append(problem.evaluate(p))
+    def eval_pole(row: int) -> np.ndarray:
+        if row not in pole_cache:
+            pole_cache[row] = measure(np.array([row]))[0]
+        return pole_cache[row]
 
-    def recurse(items: list[DecisionPoint]) -> None:
-        if len(items) < enough:
-            emit(items)
+    def recurse(rows: np.ndarray) -> None:
+        if len(rows) < enough:
+            measure(rows)
             return
         node_seed = rng.randrange(2**32)
+        x = pool.x[rows]
         try:
-            west, east = two_distant_points(items, node_seed)
+            west, east = two_distant_points(x, pool.ids[rows], node_seed)
         except DegenerateItems:
-            emit(items)
+            measure(rows)
             return
-        ev_west = eval_pole(west)
-        ev_east = eval_pole(east)
-        wins = _class_wins(_pair(ev_west.objectives, ev_east.objectives, schema), schema)
+        poles = np.array([eval_pole(int(rows[west])), eval_pole(int(rows[east]))])
+        wins = _class_wins(poles, schema)
         go_west, go_east = bool(wins[0, 1]), bool(wins[1, 0])
         if not go_west and not go_east:
-            emit(items)
+            measure(rows)
             return
-        pos = project(items, west, east)
-        order = sorted(range(len(items)), key=lambda k: (pos[k], items[k].id))
-        data = [items[k] for k in order]
+        data = rows[np.lexsort((pool.ids[rows], project(x, west, east)))]
         mid = len(data) // 2
         if go_west:
             recurse(data[:mid])
         if go_east:
             recurse(data[mid:])
 
-    recurse(pool)
-    y = np.array([ev.objectives.values for ev in evaluated], dtype=float)
-    best = [evaluated[k] for k in front0(y, schema)]
-    return RunResult(evaluated=evaluated, best=best, evals=len(evaluated), trace=[])
+    recurse(np.arange(len(pool)))
+    rows = np.concatenate(taken)
+    y = np.concatenate(measured)
+    return RunResult.from_rows(pool.ids[rows], pool.x[rows], y, front0(y, schema))

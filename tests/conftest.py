@@ -18,20 +18,31 @@ earlier one-plan-at-a-time MONRP sampler, drawing from a random.Random
 call by call, and the earlier MONRP repair. reference_fit is the earlier
 node-at-a-time CART fit, one argsort and split search per node off a
 stack, and reference_best_path the earlier best-path walk that copies a
-path tuple per node.
+path tuple per node. reference_load_tabular is the earlier line-by-line
+table loader, which built one tuple per row and checked every cell on its
+own.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flashopt import cart
 from flashopt.dominance import FrontPartition, nondominated_sort, oriented_matrix
-from flashopt.core import ObjectiveSchema, Sense, min_max_scale
+from flashopt.core import (
+    LoadError,
+    ObjectiveSchema,
+    Pool,
+    Problem,
+    Sense,
+    min_max_scale,
+    read_utf8,
+)
 from flashopt.domtree import PathStep
 from flashopt.monrp import MonrpInstance, ReleasePlan
 
@@ -466,6 +477,96 @@ def reference_best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
             best_pred = pred
             best = path
     return best
+
+
+def reference_load_tabular(path: str | Path) -> Problem:
+    """The earlier loader, kept verbatim except that its lines end at CR,
+    LF or CR LF only, as the library's loader and csv split them."""
+    path = Path(path)
+    lines = read_utf8(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        raise LoadError(f"{path}: empty file")
+
+    header = [c.strip() for c in lines[0].split(",")]
+    decision_idx: list[int] = []
+    decision_names: list[str] = []
+    objective_idx: list[int] = []
+    obj_names: list[str] = []
+    senses: list[Sense] = []
+    for col, cell in enumerate(header):
+        if cell == "":
+            raise LoadError(f"{path}:1: empty header name in column {col + 1}")
+        if cell[0] in "-+":
+            name = cell[1:]
+            if name == "":
+                raise LoadError(f"{path}:1: bare objective prefix in column {col + 1}")
+            objective_idx.append(col)
+            obj_names.append(name)
+            senses.append(Sense.MIN if cell[0] == "-" else Sense.MAX)
+        else:
+            decision_idx.append(col)
+            decision_names.append(cell)
+    if not objective_idx:
+        raise LoadError(f"{path}:1: no objective columns")
+    if not decision_idx:
+        raise LoadError(f"{path}:1: no decision columns")
+    if len(set(obj_names)) != len(obj_names):
+        raise LoadError(f"{path}:1: duplicate objective names")
+    if len(set(decision_names)) != len(decision_names):
+        raise LoadError(f"{path}:1: duplicate decision names")
+    schema = ObjectiveSchema(tuple(obj_names), tuple(senses))
+
+    rows: list[tuple[float, ...]] = []
+    measured: list[tuple[float, ...]] = []
+    seen: dict[tuple[float, ...], tuple[int, tuple[float, ...]]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise LoadError(
+                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        parsed: list[float] = []
+        for col, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise LoadError(
+                    f"{path}:{lineno}: non-numeric or non-finite cell '{cell}' "
+                    f"in column {col + 1}"
+                )
+            parsed.append(value)
+        dec = tuple(parsed[i] for i in decision_idx)
+        obj = tuple(parsed[i] for i in objective_idx)
+        if dec in seen:
+            prev_line, prev_obj = seen[dec]
+            if prev_obj != obj:
+                raise LoadError(
+                    f"{path}:{lineno}: row duplicates line {prev_line} "
+                    "with conflicting objectives"
+                )
+        else:
+            seen[dec] = (lineno, obj)
+        rows.append(dec)
+        measured.append(obj)
+    if not rows:
+        raise LoadError(f"{path}: no data rows")
+
+    return Problem.tabular(path.stem, decision_names, schema, rows, measured)
+
+
+def whole_pool(problem: Problem) -> Pool:
+    """Every row of a tabular problem as one pool, ids its row numbers."""
+    return Pool(np.arange(problem.pool_size), problem.x)
+
+
+def positions(records, result) -> list[int]:
+    """Evaluation order of each record of a run: its row in result.evaluated."""
+    row = {id(ev): k for k, ev in enumerate(result.evaluated)}
+    return [row[id(ev)] for ev in records]
 
 
 def senses_of(schema: ObjectiveSchema) -> list[str]:

@@ -51,7 +51,7 @@ from flashopt.stats import a12, scott_knott
 from flashopt.sway import SwayConfig, run_sway
 from flashopt.synth import make_synthetic
 
-from conftest import brute_binary_dominates, brute_front_partition
+from conftest import brute_binary_dominates, brute_front_partition, whole_pool
 
 BASE_SEED = 3
 REPEATS = 20
@@ -97,7 +97,7 @@ def domination_trees(experiments) -> dict:
         for (run, algo), rr in sorted(result.results.items()):
             if algo in TREE_ALGOS:
                 trees[(name, run, algo)] = build_domination_tree(
-                    np.array([ev.point.decisions for ev in rr.evaluated]),
+                    np.array([ev.decisions for ev in rr.evaluated]),
                     np.array([ev.objectives.values for ev in rr.evaluated]),
                     base.schema,
                     base.decision_names,
@@ -206,7 +206,7 @@ def test_criterion_4_evaluation_counts(experiments):
 
 def test_criterion_5_sway_budget_bound():
     base = make_synthetic("line", 10_000)
-    pool = base.pool()
+    pool = whole_pool(base)
     worst = 0
     for seed in range(REPEATS):
         res = run_sway(base.fresh(), pool, SwayConfig(seed=BASE_SEED + seed))

@@ -32,8 +32,7 @@ class TestRunRandom:
     def test_full_budget_finds_true_front(self):
         prob = make_synthetic("sphere2", 64)
         res = run_random(prob.fresh(), 64, seed=4)
-        y = np.array([prob.fresh().evaluate(p).objectives.values for p in prob.pool()])
-        want = {tuple(v) for v in y[front0(y, prob.schema)].tolist()}
+        want = {tuple(v) for v in prob.y[front0(prob.y, prob.schema)].tolist()}
         assert {e.objectives.values for e in res.best} == want
 
     def test_exact_budget(self):
@@ -267,6 +266,18 @@ class TestMainRun:
                 "--repeats", "1", "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 1
         assert f"{table}:4: " in capsys.readouterr().err
+
+    def test_line_separator_inside_a_cell_reports_its_line(self, tmp_path, capsys):
+        # Lines end at CR and LF only, as in csv: U+2028 is cell text, so
+        # line 3 is the bad one and line 4 stays a row of its own.
+        table = tmp_path / "sep.csv"
+        table.write_text("x,-y\n1,3\n2,2\u20284\n3,1\n", encoding="utf-8")
+        argv = ["run", "--problem", str(table), "--algo", "flash", "--init", "2",
+                "--repeats", "1", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}:3: non-numeric or non-finite cell '2\u20284' in column 2\n"
+        )
 
     def test_undecodable_table_reports_its_line(self, tmp_path, capsys):
         table = tmp_path / "latin1.csv"

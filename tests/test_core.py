@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -6,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashopt.core import (
-    DecisionPoint,
     LoadError,
     ObjectiveSchema,
-    ObjectiveVector,
     Problem,
     ProblemKind,
     Sense,
@@ -17,6 +17,8 @@ from flashopt.core import (
     min_max_scale,
 )
 from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
+
+from conftest import reference_load_tabular
 
 
 def write(tmp_path, text, name="table.csv"):
@@ -42,12 +44,30 @@ class TestSchema:
         assert schema.weights == (-1, 1)
 
 
-class TestObjectiveVector:
+class TestTabularProblem:
+    SCHEMA = ObjectiveSchema(("f", "g"), (Sense.MIN, Sense.MAX))
+
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ObjectiveVector((1.0, float("nan")))
-        with pytest.raises(ValueError):
-            ObjectiveVector((float("inf"),))
+        # A bad objective fails when the problem is built, not when the
+        # row is first evaluated; the error names the first bad row.
+        x = [(0.0,), (1.0,), (2.0,)]
+        y = [(1.0, 2.0), (3.0, float("nan")), (float("inf"), 0.0)]
+        with pytest.raises(ValueError, match="non-finite value in row 1"):
+            Problem.tabular("t", ("x",), self.SCHEMA, x, y)
+        with pytest.raises(ValueError, match="non-finite value in row 2"):
+            Problem.tabular("t", ("x",), self.SCHEMA, [(0.0,), (1.0,), (-math.inf,)], y[:1] * 3)
+
+    def test_rejects_rows_without_partner(self):
+        with pytest.raises(ValueError, match="row 2 has no objectives"):
+            Problem.tabular("t", ("x",), self.SCHEMA, [(0.0,), (1.0,), (2.0,)], [(1.0, 2.0)] * 2)
+        with pytest.raises(ValueError, match="row 1 has no decisions"):
+            Problem.tabular("t", ("x",), self.SCHEMA, [(0.0,)], [(1.0, 2.0)] * 2)
+
+    def test_rejects_wrong_widths(self):
+        with pytest.raises(ValueError, match=r"need decisions \(n, 1\)"):
+            Problem.tabular("t", ("x",), self.SCHEMA, [(0.0, 1.0)], [(1.0, 2.0)])
+        with pytest.raises(ValueError, match=r"objectives \(n, 2\)"):
+            Problem.tabular("t", ("x",), self.SCHEMA, [(0.0,)], [(1.0,)])
 
 
 class TestMinMaxScale:
@@ -126,14 +146,89 @@ class TestLoadTabular:
         assert prob.decision_arity == 11
 
 
+FAULTS = {
+    "cell count": "1,2",
+    "non-numeric": "1,2,x",
+    "non-finite": "1,nan,3",
+    "duplicate": "1,1,6",
+}
+
+
+@st.composite
+def tables(draw):
+    """A table of 1-3 decision and 1-2 objective columns in any order, whose
+    cells come from a few values, so that decision rows repeat with equal or
+    conflicting objectives, padded with whitespace that both str.strip()
+    and float() remove, and joined by any csv line ending. Up to three
+    lines are then spoiled with a wrong cell count, a non-numeric or
+    non-finite cell, or a separator that str.splitlines() would break at."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    names = [f"d{j}" for j in range(d)] + [draw(st.sampled_from("-+")) + f"o{j}" for j in range(m)]
+    names = draw(st.permutations(names))
+    pad = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+    value = st.sampled_from(["0", "1", "-0", "1.5", "2", "1e0", "1_0", "+2"])
+    cell = st.builds(lambda a, v, b: a + v + b, pad, value, pad)
+    n = draw(st.integers(0, 14))
+    lines = [",".join(draw(st.lists(cell, min_size=len(names), max_size=len(names))))
+             for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        k = draw(st.integers(0, len(lines) - 1))
+        cells = lines[k].split(",")
+        fault = draw(st.sampled_from(["short", "long", "text", "nan", "inf", "-inf", "sep"]))
+        if fault == "short":
+            cells = cells[:-1] or ["1", "2", "3", "4", "5", "6"]
+        elif fault == "long":
+            cells.append("1")
+        else:
+            j = draw(st.integers(0, len(cells) - 1))
+            bad = {"text": "x", "sep": "2\u20284", "nan": "nan", "inf": "inf", "-inf": "-inf"}
+            cells[j] = bad[fault]
+        lines[k] = ",".join(cells)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", ending, ending + " " + ending]))
+    return ending.join([",".join(names)] + lines) + tail
+
+
+def loaded(load, path):
+    """(names, senses, x bytes, y bytes) of a load, or its error text."""
+    try:
+        prob = load(path)
+    except LoadError as exc:
+        return str(exc)
+    return prob.decision_names, prob.schema, prob.x.tobytes(), prob.y.tobytes()
+
+
+class TestLoaderAgainstReference:
+    @given(tables())
+    @settings(max_examples=400, deadline=None)
+    def test_same_problem_or_same_first_fault(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert loaded(load_tabular, path) == loaded(reference_load_tabular, path)
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(sorted(FAULTS), 2))
+    def test_first_fault_in_line_order_wins(self, tmp_path, first, second):
+        text = f"a,b,-y\n1,1,5\n{FAULTS[first]}\n7,7,7\n{FAULTS[second]}\n"
+        path = write(tmp_path, text)
+        with pytest.raises(LoadError, match=r"\.csv:3: ") as err:
+            load_tabular(path)
+        assert str(err.value) == loaded(reference_load_tabular, path)
+
+    def test_lines_end_at_cr_and_lf_only(self, tmp_path):
+        path = write(tmp_path, "a,-y\r\n1,2\r2,2\u20284\n3,1\n", "sep.csv")
+        with pytest.raises(LoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:3: non-numeric or non-finite cell '2\u20284' in column 2"
+        prob = load_tabular(write(tmp_path, "a,-y\r\n1,2\r2,4\n3,1\r\n\r\n"))
+        assert prob.x.tolist() == [[1.0], [2.0], [3.0]]
+
+
 class TestEvaluate:
     def test_memoized_and_counted(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
-        point = prob.pool()[1]
-        first = prob.evaluate(point)
-        second = prob.evaluate(point)
-        assert first.objectives == second.objectives == ObjectiveVector((8.0, 90.0))
-        assert first.eval_index == 0 and second.eval_index == 1
+        first = prob.evaluate([1], prob.x[[1]])
+        second = prob.evaluate([1], prob.x[[1]])
+        assert first.tolist() == second.tolist() == [[8.0, 90.0]]
         assert prob.eval_count == 2
 
     def test_counter_starts_at_zero(self, tmp_path):
@@ -142,14 +237,22 @@ class TestEvaluate:
 
     def test_full_pool_evaluation_counts_n(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
-        for p in prob.pool():
-            prob.evaluate(p)
+        y = prob.evaluate(np.arange(prob.pool_size), prob.x)
         assert prob.eval_count == prob.pool_size
+        assert y.tolist() == prob.y.tolist()
 
     def test_unknown_id_rejected(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
         with pytest.raises(ValueError, match="unknown point id"):
-            prob.evaluate(DecisionPoint(99, (1.0, 2.0)))
+            prob.evaluate([99], [(1.0, 2.0)])
+        assert prob.eval_count == 0
+
+    def test_rows_must_match_the_table(self, tmp_path):
+        prob = load_tabular(write(tmp_path, SMALL))
+        with pytest.raises(ValueError, match="do not match the table"):
+            prob.evaluate([0], [(2.0, 1.0)])
+        with pytest.raises(ValueError, match="arity 2"):
+            prob.evaluate([0], [(1.0,)])
 
     def test_generative_non_finite_objective_rejected(self):
         schema = ObjectiveSchema(("f",), (Sense.MIN,))
@@ -157,34 +260,54 @@ class TestEvaluate:
             "bad",
             ("x",),
             schema,
-            sampler=lambda rng, n: [(rng.random(),) for _ in range(n)],
-            evaluator=lambda d: (float("inf"),),
+            sampler=lambda rng, n: np.array([(rng.random(),) for _ in range(n)]),
+            evaluator=lambda d: (float("inf"),) if d[0] > 0.4 else (1.0,),
         )
-        with pytest.raises(ValueError, match="non-finite"):
-            prob.evaluate(DecisionPoint(0, (0.5,)))
+        with pytest.raises(ValueError, match="non-finite objective for id 7"):
+            prob.evaluate([3, 7], [(0.25,), (0.5,)])
 
     def test_fresh_resets_counter_only(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
-        prob.evaluate(prob.pool()[0])
+        prob.evaluate([0], prob.x[[0]])
         clone = prob.fresh()
         assert clone.eval_count == 0
         assert prob.eval_count == 1
-        assert clone.pool() == prob.pool()
+        assert clone.x is prob.x and clone.y is prob.y
+
+
+def table_of(n):
+    lines = ["x,-y"] + [f"{i},{i}" for i in range(n)]
+    return "\n".join(lines) + "\n"
 
 
 class TestSamplePool:
     def test_full_sample_returns_all_rows(self, tmp_path):
-        lines = ["x,-y"] + [f"{i},{i}" for i in range(10)]
-        prob = load_tabular(write(tmp_path, "\n".join(lines) + "\n"))
+        prob = load_tabular(write(tmp_path, table_of(10)))
         sample = prob.sample_pool(10, seed=3)
-        assert sorted(p.id for p in sample) == list(range(10))
+        assert len(sample) == 10
+        assert sorted(sample.ids.tolist()) == list(range(10))
+        assert sample.x.tolist() == prob.x[sample.ids].tolist()
 
     def test_seed_determinism(self, tmp_path):
-        lines = ["x,-y"] + [f"{i},{i}" for i in range(30)]
-        prob = load_tabular(write(tmp_path, "\n".join(lines) + "\n"))
+        prob = load_tabular(write(tmp_path, table_of(30)))
         a = prob.sample_pool(7, seed=42)
         b = prob.sample_pool(7, seed=42)
-        assert a == b
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.x.tolist() == b.x.tolist()
+
+    @pytest.mark.parametrize("n, k", [(30, 7), (30, 30), (5000, 12), (5000, 4000)])
+    def test_same_rows_as_sampling_the_row_list(self, n, k):
+        # random.sample picks positions from the population's length alone,
+        # so sampling row numbers draws the rows that sampling the list of
+        # rows itself draws, on both of its internal paths.
+        prob = Problem.tabular(
+            "t", ("a", "b"), ObjectiveSchema(("f",), (Sense.MIN,)),
+            [(i, -i) for i in range(n)], [(i,) for i in range(n)],
+        )
+        rows = [tuple(r) for r in prob.x.tolist()]
+        for seed in range(3):
+            want = random.Random(seed).sample(rows, k)
+            assert [tuple(r) for r in prob.sample_pool(k, seed).x.tolist()] == want
 
     def test_oversample_rejected(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
@@ -196,12 +319,13 @@ class TestSamplePool:
         prob = as_problem(inst)
         sample = prob.sample_pool(100, seed=5)
         assert len(sample) == 100
-        for p in sample:
-            plan = ReleasePlan(tuple(int(v) for v in p.decisions))
+        assert sample.ids.tolist() == list(range(100))
+        for row in sample.x.tolist():
+            plan = ReleasePlan(tuple(int(v) for v in row))
             ok, violations = is_feasible(inst, plan)
             assert ok, violations
 
     def test_generative_sampling_deterministic(self):
         inst = generate(10, 2, 2, 0, 120, seed=1)
         prob = as_problem(inst)
-        assert prob.sample_pool(5, seed=9) == prob.sample_pool(5, seed=9)
+        assert prob.sample_pool(5, seed=9).x.tolist() == prob.sample_pool(5, seed=9).x.tolist()

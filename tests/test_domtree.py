@@ -18,6 +18,7 @@ from conftest import (
     reference_fit,
     senses_of,
     tree_nodes,
+    whole_pool,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,7 +37,7 @@ def indexed(objectives):
 def run_matrices(result):
     """Decision and objective matrices of an optimizer run's evaluations."""
     return points_at(
-        [ev.point.decisions for ev in result.evaluated],
+        [ev.decisions for ev in result.evaluated],
         [ev.objectives.values for ev in result.evaluated],
     )
 
@@ -110,9 +111,8 @@ class TestAgainstReferences:
         assert dumps
         for dump in dumps:
             problem = load_tabular(dump)
-            y = np.array([problem.evaluate(p).objectives.values for p in problem.pool()])
-            x = problem.decision_matrix()
-            targets = domination_scores(y, problem.schema).astype(float)
+            x = problem.x
+            targets = domination_scores(problem.y, problem.schema).astype(float)
             tree = cart.fit_arrays(x, targets)
             assert tree_nodes(tree) == tree_nodes(reference_fit(x, targets)), dump.name
             assert _best_path(tree) == reference_best_path(tree), dump.name
@@ -188,7 +188,7 @@ class TestTreeSizeComparison:
         ea_sizes = []
         for seed in range(5):
             prob = make_synthetic("sphere2", 400)
-            fres = run_flash(prob.fresh(), prob.pool(), FlashConfig(size0=10, lives=5, seed=seed))
+            fres = run_flash(prob.fresh(), whole_pool(prob), FlashConfig(size0=10, lives=5, seed=seed))
             nres = run_nsga2(prob.fresh(), Nsga2Config(pop_size=20, generations=10, seed=seed))
             ft = build_domination_tree(*run_matrices(fres), prob.schema, prob.decision_names)
             nt = build_domination_tree(*run_matrices(nres), prob.schema, prob.decision_names)

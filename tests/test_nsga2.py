@@ -16,6 +16,7 @@ from flashopt.nsga2 import Nsga2Config, crowding_distance, pool_snapper, run_nsg
 from flashopt.synth import make_synthetic
 
 from conftest import (
+    positions,
     reference_crowding_distance,
     reference_random_plan,
     reference_rank_and_crowd,
@@ -74,12 +75,11 @@ class TestRunNsga2:
     def test_best_is_nondominated_subset_of_evaluated(self):
         prob = make_synthetic("sphere2", 300)
         res = run_nsga2(prob, Nsga2Config(pop_size=16, generations=5, seed=3))
-        eval_ids = {e.eval_index for e in res.evaluated}
-        for b in res.best:
-            assert b.eval_index in eval_ids
+        rows = positions(res.best, res)  # raises unless every best is evaluated
+        assert rows == sorted(rows)
         for a in res.best:
             for b in res.best:
-                assert not binary_dominates(a.objectives, b.objectives, prob.schema)
+                assert not binary_dominates(a.objectives.values, b.objectives.values, prob.schema)
 
     def test_elitism_front0_survives(self):
         # Anyone non-dominated in parents+offspring must sit in the next
@@ -89,15 +89,13 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=20, generations=1, seed=4))
         full_front = front0(objectives(res.evaluated), prob.schema)
         if len(full_front) <= 20:
-            best_ids = {e.eval_index for e in res.best}
-            for k in full_front:
-                assert res.evaluated[k].eval_index in best_ids
+            assert set(full_front.tolist()) <= set(positions(res.best, res))
 
     def test_deterministic(self):
         prob = make_synthetic("step", 300)
         a = run_nsga2(prob.fresh(), Nsga2Config(pop_size=12, generations=4, seed=5))
         b = run_nsga2(prob.fresh(), Nsga2Config(pop_size=12, generations=4, seed=5))
-        assert [e.point.id for e in a.evaluated] == [e.point.id for e in b.evaluated]
+        assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
         assert [e.objectives for e in a.best] == [e.objectives for e in b.best]
 
     def test_config_validation(self):
@@ -139,16 +137,16 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=4, seed=7))
         assert res.evals == 50
         for e in res.evaluated:
-            plan = ReleasePlan(tuple(int(v) for v in e.point.decisions))
+            plan = ReleasePlan(tuple(int(v) for v in e.decisions))
             ok, violations = is_feasible(inst, plan)
             assert ok, violations
 
     def test_tabular_offspring_are_pool_rows(self):
         prob = make_synthetic("sphere2", 200)
-        rows = {p.decisions for p in prob.pool()}
+        rows = [tuple(r) for r in prob.x.tolist()]
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=3, seed=8))
         for e in res.evaluated:
-            assert e.point.decisions in rows
+            assert rows[e.id] == tuple(e.decisions.tolist())
 
 
 @st.composite
@@ -182,10 +180,10 @@ class TestMonrpRngContract:
         scalar = run_nsga2(as_problem(inst), config)
 
         def decisions(result):
-            return [ev.point.decisions for ev in result.evaluated]
+            return [ev.decisions.tolist() for ev in result.evaluated]
 
         rng = random.Random(seed)
-        start = [tuple(map(float, reference_random_plan(inst, rng).release)) for _ in range(20)]
+        start = [list(map(float, reference_random_plan(inst, rng).release)) for _ in range(20)]
         assert decisions(batch)[:20] == start
         assert decisions(batch) == decisions(scalar)
 

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from flashopt.core import DecisionPoint, ObjectiveSchema, Problem, Sense
+from flashopt.core import ObjectiveSchema, Pool, Problem, Sense
 from flashopt.dominance import front0
 from flashopt.sway import SwayConfig, project, run_sway, two_distant_points
 from flashopt.synth import make_synthetic
 
+from conftest import positions, whole_pool
+
 
 def points_on_line(n, lo=0.0, hi=1.0):
-    return [
-        DecisionPoint(i, (lo + (hi - lo) * i / (n - 1), 0.5)) for i in range(n)
-    ]
+    """Decision rows evenly spaced along a segment, and their ids."""
+    x = np.array([(lo + (hi - lo) * i / (n - 1), 0.5) for i in range(n)])
+    return x, np.arange(n)
 
 
 class TestProject:
     def test_west_projects_to_zero_and_east_to_c(self):
-        items = points_on_line(9)
-        west, east = items[0], items[-1]
-        pos = project(items, west, east)
+        x, _ = points_on_line(9)
+        pos = project(x, 0, 8)
         c = pos[-1]
         assert pos[0] == pytest.approx(0.0, abs=1e-12)
         assert c > 0
@@ -25,98 +26,95 @@ class TestProject:
         assert pos[-1] == pytest.approx(c)
 
     def test_midpoint_lands_halfway(self):
-        items = [
-            DecisionPoint(0, (0.0, 0.0)),
-            DecisionPoint(1, (1.0, 0.0)),
-            DecisionPoint(2, (2.0, 0.0)),
-        ]
-        pos = project(items, items[0], items[2])
+        x = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        pos = project(x, 0, 2)
         assert pos[1] == pytest.approx(pos[2] / 2)
 
     def test_degenerate_poles_rejected(self):
-        items = [DecisionPoint(0, (1.0, 1.0)), DecisionPoint(1, (2.0, 2.0))]
-        same = DecisionPoint(3, (1.5, 1.5))
+        x = np.array([(1.0, 1.0), (2.0, 2.0), (1.5, 1.5)])
         with pytest.raises(ValueError, match="degenerate"):
-            project(items, same, same)
+            project(x, 2, 2)
 
 
 class TestTwoDistantPoints:
     def test_line_segment_returns_extremes(self):
-        items = points_on_line(20)
+        x, ids = points_on_line(20)
         for seed in range(10):
-            west, east = two_distant_points(items, seed)
-            assert {west.id, east.id} == {0, 19}
+            west, east = two_distant_points(x, ids, seed)
+            assert {west, east} == {0, 19}
 
     def test_two_items(self):
-        items = points_on_line(2)
-        west, east = two_distant_points(items, 3)
-        assert {west.id, east.id} == {0, 1}
+        x, ids = points_on_line(2)
+        assert set(two_distant_points(x, ids, 3)) == {0, 1}
 
     def test_deterministic(self):
-        items = points_on_line(30)
-        assert two_distant_points(items, 9) == two_distant_points(items, 9)
+        x, ids = points_on_line(30)
+        assert two_distant_points(x, ids, 9) == two_distant_points(x, ids, 9)
+
+    def test_ties_go_to_the_lowest_id(self):
+        # Rows 0 and 2 coincide, as do rows 1 and 3: each pole is the row
+        # of the lower id of its pair.
+        x = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0)])
+        for seed in range(8):
+            poles = two_distant_points(x, np.array([9, 5, 4, 7]), seed)
+            assert set(poles) == {1, 2}
 
     def test_identical_items_raise(self):
-        items = [DecisionPoint(i, (1.0, 2.0)) for i in range(5)]
         with pytest.raises(ValueError):
-            two_distant_points(items, 0)
+            two_distant_points(np.tile([1.0, 2.0], (5, 1)), np.arange(5), 0)
 
 
 class TestRunSway:
     def test_small_pool_fully_evaluated(self):
         prob = make_synthetic("line", 50)
-        pool = prob.pool()[:6]
+        pool = Pool(np.arange(6), prob.x[:6])
         res = run_sway(prob, pool, SwayConfig(enough=10, seed=1))
         assert res.evals == 6
-        assert sorted(e.point.id for e in res.evaluated) == sorted(p.id for p in pool)
-        got = sorted(e.eval_index for e in res.best)
+        assert sorted(e.id for e in res.evaluated) == list(range(6))
         y = np.array([e.objectives.values for e in res.evaluated])
-        want = sorted(res.evaluated[k].eval_index for k in front0(y, prob.schema))
-        assert got == want
+        assert sorted(positions(res.best, res)) == front0(y, prob.schema).tolist()
 
     def test_identical_objectives_emit_whole_pool(self):
         n = 40
         schema = ObjectiveSchema(("f1", "f2"), (Sense.MIN, Sense.MIN))
         rows = [(i / (n - 1),) for i in range(n)]
         prob = Problem.tabular("flat", ("x",), schema, rows, [(1.0, 2.0)] * n)
-        res = run_sway(prob, prob.pool(), SwayConfig(seed=4))
+        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=4))
         # Two root poles, neither wins, then every pool member is measured
         # at the leaf (poles are measured again there).
         assert res.evals == n + 2
 
     def test_gradient_consistent_pool_stays_cheap(self):
         prob = make_synthetic("line", 4096)
-        res = run_sway(prob, prob.pool(), SwayConfig(seed=5))
+        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=5))
         # 2 log2(4096) + sqrt(4096) = 88
         assert res.evals <= 88 + 4
 
     def test_pool_of_one_rejected(self):
         prob = make_synthetic("line", 50)
         with pytest.raises(ValueError):
-            run_sway(prob, prob.pool()[:1], SwayConfig())
+            run_sway(prob, Pool(np.arange(1), prob.x[:1]), SwayConfig())
 
     def test_deterministic(self):
         prob = make_synthetic("sphere2", 300)
-        a = run_sway(prob.fresh(), prob.pool(), SwayConfig(seed=6))
-        b = run_sway(prob.fresh(), prob.pool(), SwayConfig(seed=6))
-        assert [e.point.id for e in a.evaluated] == [e.point.id for e in b.evaluated]
+        a = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(seed=6))
+        b = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(seed=6))
+        assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
 
     def test_no_point_emitted_twice(self):
         # Leaves partition a subset of the pool, so a point id can recur in
         # the evaluation log at most twice: once as a cached pole and once
         # inside its emitted leaf.
         prob = make_synthetic("sphere2", 500)
-        res = run_sway(prob, prob.pool(), SwayConfig(seed=11))
+        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=11))
         counts = {}
         for e in res.evaluated:
-            counts[e.point.id] = counts.get(e.point.id, 0) + 1
+            counts[e.id] = counts.get(e.id, 0) + 1
         assert all(c <= 2 for c in counts.values())
 
     def test_default_enough_is_sqrt_of_pool(self):
         prob = make_synthetic("line", 170)
-        res = run_sway(prob.fresh(), prob.pool(), SwayConfig(seed=7))
+        res = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(seed=7))
         # ceil(sqrt(170)) = 14
-        explicit = run_sway(prob.fresh(), prob.pool(), SwayConfig(enough=14, seed=7))
-        assert [e.point.id for e in res.evaluated] == [
-            e.point.id for e in explicit.evaluated
-        ]
+        explicit = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(enough=14, seed=7))
+        assert [e.id for e in res.evaluated] == [e.id for e in explicit.evaluated]
