@@ -30,14 +30,7 @@ from .cart import RegressionTree, fit_arrays, predict_many, tree_size
 from .flash import FlashConfig, run_flash, what_to_evaluate_next
 from .sway import SwayConfig, project, run_sway, two_distant_points
 from .nsga2 import Nsga2Config, crowding_distance, run_nsga2
-from .monrp import (
-    MonrpInstance,
-    ReleasePlan,
-    evaluate_plan,
-    generate,
-    is_feasible,
-    random_valid_plan,
-)
+from .monrp import MonrpInstance, evaluate_plan, generate, is_feasible
 from .metrics import ReferenceFront, gd, igd, reference_front
 from .domtree import DominationTree, build_domination_tree, render, tree_stats
 from .stats import RankedGroups, a12, scott_knott

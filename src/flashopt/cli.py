@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if not self.algorithms:
+            raise ValueError(f"no algorithm given; choose from {list(ALGORITHMS)}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(
@@ -117,10 +120,10 @@ def build_problem(source: str, pool_n: int, base_seed: int) -> Problem:
     of an experiment optimizes the same scenario.
     """
     if source.startswith("monrp:"):
-        parts = source[len("monrp:") :].split("-")
-        if len(parts) != 5:
-            raise ValueError(f"expected monrp:N-P-M-dep-funding, got {source!r}")
-        n, p, m, dep, funding = (int(v) for v in parts)
+        try:  # a non-integer field and a wrong field count both raise here
+            n, p, m, dep, funding = map(int, source[len("monrp:") :].split("-"))
+        except ValueError:
+            raise ValueError(f"expected monrp:N-P-M-dep-funding, got {source!r}") from None
         inst = generate(n, p, m, dep, funding, seed=base_seed)
         return as_problem(inst, name=f"monrp-{n}-{p}-{m}-{dep}-{funding}")
     if source.startswith("synth:"):
@@ -289,12 +292,6 @@ def _cmd_stats(args) -> int:
         raise ValueError(f"baseline algorithm {args.baseline!r} not in results")
     groups = sorted(by_algo.items())
     ranked = scott_knott(groups, smaller_is_better=True)
-
-    def median(vals):
-        vals = sorted(vals)
-        mid = len(vals) // 2
-        return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
-
     base_med = median(by_algo[args.baseline])
     print(f"measure={args.measure} baseline={args.baseline}")
     for (label, samples), rank in zip(ranked.entries, ranked.ranks):

@@ -2,7 +2,8 @@
 
 A Problem is either TABULAR (a decision matrix x and an objective matrix y
 of pre-measured rows) or GENERATIVE (a sampler of an (n, d) decision
-matrix at a time plus an evaluator). A repeat's candidates are a Pool of
+matrix at a time, plus an evaluator and an optional repairer that each
+take a (k, d) block of rows). A repeat's candidates are a Pool of
 ids and decision rows, drawn by Problem.sample_pool for both kinds. Every
 fitness measurement goes through :meth:`Problem.evaluate`, which takes a
 block of rows and is the only operation that touches the evaluation
@@ -152,8 +153,8 @@ class Problem:
         x: np.ndarray | None = None,
         y: np.ndarray | None = None,
         sampler: Callable[[random.Random, int], np.ndarray] | None = None,
-        evaluator: Callable[[Sequence[float]], Sequence[float]] | None = None,
-        repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
+        evaluator: Callable[[np.ndarray], np.ndarray] | None = None,
+        repairer: Callable[[np.ndarray], np.ndarray] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
     ):
         self.name = name
@@ -209,8 +210,8 @@ class Problem:
         decision_names: Sequence[str],
         schema: ObjectiveSchema,
         sampler: Callable[[random.Random, int], np.ndarray],
-        evaluator: Callable[[Sequence[float]], Sequence[float]],
-        repairer: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
+        evaluator: Callable[[np.ndarray], np.ndarray],
+        repairer: Callable[[np.ndarray], np.ndarray] | None = None,
         gene_values: Sequence[Sequence[float]] | None = None,
     ) -> "Problem":
         return cls(
@@ -243,10 +244,11 @@ class Problem:
             return self._gene_values
         raise ValueError(f"{self.name}: no gene value sets available")
 
-    def repair(self, decisions: tuple[float, ...]) -> tuple[float, ...]:
+    def repair(self, x: np.ndarray) -> np.ndarray:
+        """The repaired (k, d) block of decision rows x."""
         if self._repairer is None:
-            return decisions
-        return self._repairer(decisions)
+            return x
+        return self._repairer(x)
 
     def evaluate(self, ids, x) -> np.ndarray:
         """Measure the decision rows x, with pool ids ids; return their
@@ -265,9 +267,9 @@ class Problem:
                 raise ValueError(f"{self.name}: rows do not match the table at their ids")
             y = self.y[ids]
         else:
-            y = np.array([self._evaluator(row) for row in x.tolist()], dtype=float)
+            y = np.asarray(self._evaluator(x), dtype=float)
             if y.shape != (len(ids), len(self.schema)):
-                raise ValueError(f"{self.name}: evaluator returned {y.shape[-1]} objectives")
+                raise ValueError(f"{self.name}: evaluator returned a {y.shape} block")
             finite = np.isfinite(y).all(axis=1)
             if not finite.all():
                 raise ValueError(

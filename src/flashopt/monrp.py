@@ -32,10 +32,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import ObjectiveSchema, ObjectiveVector, Problem, Sense
+from .core import ObjectiveSchema, Problem, Sense
 
 
 def monrp_schema() -> ObjectiveSchema:
@@ -80,13 +81,6 @@ class MonrpInstance:
                 for i in range(self.N)
             )
         return self._scores
-
-
-@dataclass(frozen=True)
-class ReleasePlan:
-    """release[i] in 0..P; 0 means requirement i is not implemented."""
-
-    release: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,46 +146,56 @@ def generate(
     )
 
 
-def evaluate_plan(inst: MonrpInstance, plan: ReleasePlan) -> ObjectiveVector:
-    """Objective values of a plan; feasibility is not checked here."""
-    if len(plan.release) != inst.N:
-        raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
-    scores = inst.scores()
-    f1 = 0.0
-    f2 = 0.0
-    f3 = 0.0
-    for i, x in enumerate(plan.release):
-        if x == 0:
-            continue
-        f1 += scores[i] * (inst.P - x + 1) - inst.risk[i] * x
-        f2 += scores[i]
-        f3 += inst.cost[i]
-    return ObjectiveVector((f1, f2, f3))
+def evaluate_plan(inst: MonrpInstance, releases) -> np.ndarray:
+    """The (k, 3) objective block of the plans in the rows of a (k, N)
+    integer matrix; feasibility is not checked here.
+
+    Each requirement's terms are added column by column, in ascending
+    index, to sums that start at 0.0, so every float is the one a
+    plan-at-a-time loop gives. An unimplemented requirement adds 0.0,
+    which changes no sum: one that starts at +0.0 never becomes -0.0.
+    """
+    x = np.asarray(releases)
+    if x.ndim != 2 or x.shape[1] != inst.N:
+        raise ValueError(f"plan length {x.shape[-1]} != N={inst.N}")
+    on = x != 0
+    scores = np.array(inst.scores())
+    terms = np.stack([
+        np.where(on, scores * (inst.P - x + 1) - np.array(inst.risk) * x, 0.0),
+        np.where(on, scores, 0.0),
+        np.where(on, np.array(inst.cost), 0.0),
+    ], axis=-1)
+    y = np.zeros((len(x), 3))
+    for i in range(inst.N):
+        y += terms[:, i]
+    return y
 
 
-def is_feasible(inst: MonrpInstance, plan: ReleasePlan) -> tuple[bool, list[Violation]]:
-    """Check budgets per release and dependency precedence.
+def _check_plan(inst: MonrpInstance, release: Sequence[int]) -> None:
+    if len(release) != inst.N:
+        raise ValueError(f"plan length {len(release)} != N={inst.N}")
+    if min(release) < 0 or max(release) > inst.P:
+        raise ValueError(f"plan has a release outside 0..{inst.P}")
+
+
+def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> tuple[bool, list[Violation]]:
+    """Check one plan's budgets per release and its dependency precedence.
 
     Infeasibility is reported, not raised: the second element lists every
     violation found.
     """
-    if len(plan.release) != inst.N:
-        raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
+    _check_plan(inst, release)
     violations: list[Violation] = []
-    load = [0.0] * (inst.P + 1)
-    for i, x in enumerate(plan.release):
-        if not 0 <= x <= inst.P:
-            raise ValueError(f"release {x} for requirement {i} outside 0..{inst.P}")
-        load[x] += inst.cost[i]
+    load = _release_loads(inst, release)
     for k in range(1, inst.P + 1):
         if load[k] > inst.budget[k - 1]:
             violations.append(
                 Violation("budget", k, f"release {k} costs {load[k]} > {inst.budget[k - 1]}")
             )
     for a, b in inst.deps:
-        if plan.release[a] == 0:
+        if release[a] == 0:
             continue
-        if plan.release[b] == 0 or plan.release[b] > plan.release[a]:
+        if release[b] == 0 or release[b] > release[a]:
             violations.append(
                 Violation("precedence", a, f"requirement {a} needs {b} no later than it")
             )
@@ -218,7 +222,7 @@ def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:
     return dropped
 
 
-def _release_loads(inst: MonrpInstance, release: list[int]) -> list[float]:
+def _release_loads(inst: MonrpInstance, release: Sequence[int]) -> list[float]:
     """The cost of each release 0..P in one pass. A load adds its members'
     costs one by one in ascending requirement index, so it is the float
     that sum() over the member list gives (up to Python 3.11, whose sum()
@@ -229,18 +233,15 @@ def _release_loads(inst: MonrpInstance, release: list[int]) -> list[float]:
     return load
 
 
-def repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
-    """Deterministic feasibility repair used on search offspring.
+def repair_plan(inst: MonrpInstance, release: Sequence[int]) -> list[int]:
+    """Deterministic feasibility repair of one plan, used on search offspring.
 
     Precedence violators are dropped, then over-budget releases evict their
     lowest-score requirements (ties to the lowest index). Eviction can break
     precedence again, so the two passes alternate until the plan checks out.
     """
-    if len(plan.release) != inst.N:
-        raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
-    if min(plan.release) < 0 or max(plan.release) > inst.P:
-        raise ValueError(f"plan has a release outside 0..{inst.P}")
-    release = list(plan.release)
+    _check_plan(inst, release)
+    release = list(release)
     scores = inst.scores()
     while True:
         _drop_precedence_violators(inst, release)
@@ -258,7 +259,7 @@ def repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
                 evicted = True
         if not evicted:
             break
-    return ReleasePlan(tuple(release))
+    return release
 
 
 CHUNK_WORDS = 1 << 16  # MT19937 words drawn from numpy per refill, at most
@@ -325,8 +326,9 @@ class _WordStream:
         )
 
 
-def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> list[ReleasePlan]:
-    """n random plans, each repaired until it passes is_feasible.
+def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> np.ndarray:
+    """n random plans, each repaired until it passes is_feasible, as the
+    rows of an (n, N) integer matrix.
 
     A plan draws randint(0, P) for every requirement, pulls each missing or
     late dependency into its dependent's release (iterating, since
@@ -341,8 +343,8 @@ def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> list[Releas
     # on average, and evictions add a few; a short first chunk only refills.
     words = _WordStream(rng, inst.P, min(CHUNK_WORDS, n * (2 * inst.N + 16)))
     checks = list(zip(range(1, inst.P + 1), inst.budget))
-    plans = []
-    for _ in range(n):
+    plans = np.empty((n, inst.N), dtype=int)
+    for row in plans:
         release = words.ints(inst.N)
         changed = True
         while changed:
@@ -372,39 +374,31 @@ def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> list[Releas
                 load[over] = 0.0
                 for i in group:
                     load[over] += inst.cost[i]
-        plans.append(ReleasePlan(tuple(release)))
+        row[:] = release
     words.restore()
     return plans
 
 
-def random_valid_plan(inst: MonrpInstance, seed: int) -> ReleasePlan:
-    """A seeded random plan, repaired until it passes is_feasible."""
-    return sample_plans(inst, random.Random(seed), 1)[0]
-
-
 def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
-    """Wrap an instance as a GENERATIVE Problem over release vectors."""
-    arity = inst.N
-    levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every vector
+    """Wrap an instance as a GENERATIVE Problem over release vectors, whose
+    hooks take and return blocks of rows."""
 
     def sampler(rng: random.Random, n: int) -> np.ndarray:
-        return np.array([plan.release for plan in sample_plans(inst, rng, n)], dtype=float)
+        return sample_plans(inst, rng, n).astype(float)
 
-    def evaluator(decisions: list[float]) -> tuple[float, ...]:
-        plan = ReleasePlan(tuple(int(v) for v in decisions))
-        return evaluate_plan(inst, plan).values
+    def evaluator(x: np.ndarray) -> np.ndarray:
+        return evaluate_plan(inst, x.astype(int))
 
-    def repairer(decisions: tuple[float, ...]) -> tuple[float, ...]:
-        plan = repair_plan(inst, ReleasePlan(tuple(map(int, decisions))))
-        return tuple([levels[x] for x in plan.release])
+    def repairer(x: np.ndarray) -> np.ndarray:
+        return np.array([repair_plan(inst, row) for row in x.astype(int).tolist()], dtype=float)
 
-    gene_values = [levels] * arity
+    levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every gene
     return Problem.generative(
         name,
-        [f"r{i}" for i in range(arity)],
+        [f"r{i}" for i in range(inst.N)],
         monrp_schema(),
         sampler,
         evaluator,
         repairer=repairer,
-        gene_values=gene_values,
+        gene_values=[levels] * inst.N,
     )

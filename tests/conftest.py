@@ -13,14 +13,15 @@ nondominated_sort, and reference_nondominated_sort and reference_snap, the
 earlier (d, d, m) form of that sort, grouping rows with a dict, and
 NSGA-II's earlier snapping of children to pool rows. Like the library's
 set-level kernels, the references take one objective matrix and answer
-in row indices. reference_random_plan and reference_repair_plan are the
-earlier one-plan-at-a-time MONRP sampler, drawing from a random.Random
-call by call, and the earlier MONRP repair. reference_fit is the earlier
-node-at-a-time CART fit, one argsort and split search per node off a
-stack, and reference_best_path the earlier best-path walk that copies a
-path tuple per node. reference_load_tabular is the earlier line-by-line
-table loader, which built one tuple per row and checked every cell on its
-own.
+in row indices. reference_random_plan, reference_repair_plan and
+reference_evaluate_plan are the earlier one-plan-at-a-time MONRP sampler,
+drawing from a random.Random call by call, the earlier MONRP repair, and
+the earlier per-plan objective loop; each takes or gives one release
+list. reference_fit is the earlier node-at-a-time CART fit, one argsort
+and split search per node off a stack, and reference_best_path the
+earlier best-path walk that copies a path tuple per node.
+reference_load_tabular is the earlier line-by-line table loader, which
+built one tuple per row and checked every cell on its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from flashopt.core import (
     read_utf8,
 )
 from flashopt.domtree import PathStep
-from flashopt.monrp import MonrpInstance, ReleasePlan
+from flashopt.monrp import MonrpInstance
 
 
 def brute_binary_dominates(x, y, senses) -> bool:
@@ -315,7 +316,7 @@ def _reference_drop_precedence_violators(inst: MonrpInstance, release: list[int]
                 changed = True
 
 
-def reference_random_plan(inst: MonrpInstance, rng: random.Random) -> ReleasePlan:
+def reference_random_plan(inst: MonrpInstance, rng: random.Random) -> list[int]:
     """One random plan, repaired until feasible, drawn call by call from rng."""
     release = [rng.randint(0, inst.P) for _ in range(inst.N)]
     # Precedence first: pull each missing or late dependency into the
@@ -347,14 +348,14 @@ def reference_random_plan(inst: MonrpInstance, rng: random.Random) -> ReleasePla
         victim = members[rng.randrange(len(members))]
         release[victim] = 0
         _reference_drop_precedence_violators(inst, release)
-    return ReleasePlan(tuple(release))
+    return release
 
 
-def reference_repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan:
+def reference_repair_plan(inst: MonrpInstance, plan: list[int]) -> list[int]:
     """MONRP repair with a member list and a sum() per release per pass."""
-    if len(plan.release) != inst.N:
-        raise ValueError(f"plan length {len(plan.release)} != N={inst.N}")
-    release = list(plan.release)
+    if len(plan) != inst.N:
+        raise ValueError(f"plan length {len(plan)} != N={inst.N}")
+    release = list(plan)
     scores = inst.scores()
     while True:
         _reference_drop_precedence_violators(inst, release)
@@ -372,7 +373,25 @@ def reference_repair_plan(inst: MonrpInstance, plan: ReleasePlan) -> ReleasePlan
                 evicted = True
         if not evicted:
             break
-    return ReleasePlan(tuple(release))
+    return release
+
+
+def reference_evaluate_plan(inst: MonrpInstance, plan: list[int]) -> tuple[float, float, float]:
+    """Objective values of one plan, each sum built requirement by
+    requirement in ascending index."""
+    if len(plan) != inst.N:
+        raise ValueError(f"plan length {len(plan)} != N={inst.N}")
+    scores = inst.scores()
+    f1 = 0.0
+    f2 = 0.0
+    f3 = 0.0
+    for i, x in enumerate(plan):
+        if x == 0:
+            continue
+        f1 += scores[i] * (inst.P - x + 1) - inst.risk[i] * x
+        f2 += scores[i]
+        f3 += inst.cost[i]
+    return (f1, f2, f3)
 
 
 def reference_fit(x, y) -> cart.RegressionTree:

@@ -39,14 +39,7 @@ from flashopt.dominance import (
 )
 from flashopt.domtree import build_domination_tree, render, tree_stats
 from flashopt.metrics import ReferenceFront, gd, igd, reference_front
-from flashopt.monrp import (
-    MonrpInstance,
-    ReleasePlan,
-    evaluate_plan,
-    generate,
-    is_feasible,
-    random_valid_plan,
-)
+from flashopt.monrp import MonrpInstance, evaluate_plan, generate, is_feasible, sample_plans
 from flashopt.stats import a12, scott_knott
 from flashopt.sway import SwayConfig, run_sway
 from flashopt.synth import make_synthetic
@@ -300,8 +293,8 @@ def test_criterion_10_monrp_formulas():
         deps=(),
         budget=(10.0,) * 4,
     )
-    got = evaluate_plan(inst, ReleasePlan((1,)))
-    assert got.values == (86.0, 22.0, 3.0)  # (4*22 - 2, 22, 3)
+    got = evaluate_plan(inst, [[1]])
+    assert got.tolist() == [[86.0, 22.0, 3.0]]  # (4*22 - 2, 22, 3)
 
     rng = random.Random(1010)
     checked = 0
@@ -321,14 +314,14 @@ def test_criterion_10_monrp_formulas():
         i = rng.choice(movable)
         delayed = list(plan)
         delayed[i] += 1
-        before = evaluate_plan(scenario, ReleasePlan(tuple(plan))).values[0]
-        after = evaluate_plan(scenario, ReleasePlan(tuple(delayed))).values[0]
+        before, after = evaluate_plan(scenario, [plan, delayed])[:, 0].tolist()
         assert after - before == -(scenario.scores()[i] + scenario.risk[i])
         checked += 1
 
     tight = generate(30, 4, 5, 25, 85, seed=77)
     for seed in range(1000):
-        feasible, violations = is_feasible(tight, random_valid_plan(tight, seed))
+        plan = sample_plans(tight, random.Random(seed), 1)[0].tolist()
+        feasible, violations = is_feasible(tight, plan)
         assert feasible, (seed, violations)
     ok(10, "release-planning formulas")
 

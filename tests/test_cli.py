@@ -179,6 +179,21 @@ class TestMainRun:
         for run in ("0", "1"):
             assert evals[(run, "random")] == evals[(run, "flash")]
 
+    def test_empty_algorithm_list_exits_1_naming_the_choices(self, tmp_path, capsys):
+        argv = ["run", "--problem", "synth:step", "--algo", ",",
+                "--pool", "200", "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "no algorithm given" in err and "'flash', 'sway', 'nsga2', 'random'" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_non_integer_monrp_field_exits_1_with_the_format(self, tmp_path, capsys):
+        argv = ["run", "--problem", "monrp:5-2-2-x-90", "--algo", "flash",
+                "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: expected monrp:N-P-M-dep-funding, got 'monrp:5-2-2-x-90'\n"
+
     def test_repeated_algorithm_exits_1(self, tmp_path, capsys):
         argv = ["run", "--problem", "synth:step", "--algo", "flash,flash,random",
                 "--pool", "200", "--out", str(tmp_path / "results.csv")]

@@ -16,7 +16,7 @@ from flashopt.core import (
     load_tabular,
     min_max_scale,
 )
-from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
+from flashopt.monrp import as_problem, generate, is_feasible
 
 from conftest import reference_load_tabular
 
@@ -261,7 +261,7 @@ class TestEvaluate:
             ("x",),
             schema,
             sampler=lambda rng, n: np.array([(rng.random(),) for _ in range(n)]),
-            evaluator=lambda d: (float("inf"),) if d[0] > 0.4 else (1.0,),
+            evaluator=lambda x: np.where(x > 0.4, np.inf, 1.0),
         )
         with pytest.raises(ValueError, match="non-finite objective for id 7"):
             prob.evaluate([3, 7], [(0.25,), (0.5,)])
@@ -320,9 +320,8 @@ class TestSamplePool:
         sample = prob.sample_pool(100, seed=5)
         assert len(sample) == 100
         assert sample.ids.tolist() == list(range(100))
-        for row in sample.x.tolist():
-            plan = ReleasePlan(tuple(int(v) for v in row))
-            ok, violations = is_feasible(inst, plan)
+        for row in sample.x.astype(int).tolist():
+            ok, violations = is_feasible(inst, row)
             assert ok, violations
 
     def test_generative_sampling_deterministic(self):

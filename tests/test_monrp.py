@@ -1,24 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashopt import monrp
-from flashopt.core import ObjectiveVector, Sense
+from flashopt.core import Sense
 from flashopt.monrp import (
     MonrpInstance,
-    ReleasePlan,
+    as_problem,
     evaluate_plan,
     generate,
     is_feasible,
     monrp_schema,
-    random_valid_plan,
     repair_plan,
     sample_plans,
 )
 
-from conftest import reference_random_plan, reference_repair_plan
+from conftest import reference_evaluate_plan, reference_random_plan, reference_repair_plan
 
 
 def tiny_instance():
@@ -34,6 +34,11 @@ def tiny_instance():
         deps=(),
         budget=(10.0, 10.0, 10.0, 10.0),
     )
+
+
+def one_plan(inst, seed) -> list[int]:
+    """A seeded random plan, repaired until it passes is_feasible."""
+    return sample_plans(inst, random.Random(seed), 1)[0].tolist()
 
 
 class TestGenerate:
@@ -92,18 +97,17 @@ class TestEvaluatePlan:
 
     def test_all_zero_plan(self):
         inst = generate(12, 3, 2, 0, 110, seed=3)
-        assert evaluate_plan(inst, ReleasePlan((0,) * 12)) == ObjectiveVector((0.0, 0.0, 0.0))
+        assert evaluate_plan(inst, [[0] * 12]).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_single_requirement_closed_form(self):
         inst = tiny_instance()
-        got = evaluate_plan(inst, ReleasePlan((1,)))
+        got = evaluate_plan(inst, [[1]])
         # f1 = score*(P - 1 + 1) - risk*1 = 22*4 - 2 = 86
-        assert got == ObjectiveVector((86.0, 22.0, 3.0))
+        assert got.tolist() == [[86.0, 22.0, 3.0]]
 
     def test_delay_shrinks_value(self):
         inst = tiny_instance()
-        first = evaluate_plan(inst, ReleasePlan((1,))).values[0]
-        last = evaluate_plan(inst, ReleasePlan((4,))).values[0]
+        first, last = evaluate_plan(inst, [[1], [4]])[:, 0].tolist()
         assert first - last == (inst.P - 1) * (22.0 + 2.0)
 
     def test_delay_delta_is_score_plus_risk(self):
@@ -118,32 +122,58 @@ class TestEvaluatePlan:
             i = rng.choice(implemented)
             delayed = list(plan)
             delayed[i] += 1
-            before = evaluate_plan(inst, ReleasePlan(tuple(plan))).values[0]
-            after = evaluate_plan(inst, ReleasePlan(tuple(delayed))).values[0]
+            before, after = evaluate_plan(inst, [plan, delayed])[:, 0].tolist()
             assert after - before == -(inst.scores()[i] + inst.risk[i])
 
     def test_f3_monotone_under_additions(self):
         rng = random.Random(8)
         inst = generate(15, 3, 3, 0, 150, seed=2)
         plan = [rng.randint(0, 3) for _ in range(15)]
-        base = evaluate_plan(inst, ReleasePlan(tuple(plan))).values[2]
+        base = evaluate_plan(inst, [plan])[0, 2]
         for i in range(15):
             if plan[i] == 0:
                 grown = list(plan)
                 grown[i] = 1
-                f3 = evaluate_plan(inst, ReleasePlan(tuple(grown))).values[2]
+                f3 = evaluate_plan(inst, [grown])[0, 2]
                 assert f3 >= base
 
     def test_length_mismatch(self):
         inst = tiny_instance()
         with pytest.raises(ValueError):
-            evaluate_plan(inst, ReleasePlan((1, 2)))
+            evaluate_plan(inst, [[1, 2]])
+
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 50),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_reference_on_generated(self, n, p, m, dep, funding, seed, data):
+        self.assert_same_bits_as_reference(generate(n, p, m, dep, funding, seed=seed), data)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_reference_on_fractional_costs(self, data):
+        self.assert_same_bits_as_reference(fractional_instance(data), data)
+
+    @staticmethod
+    def assert_same_bits_as_reference(inst, data):
+        # tobytes tells -0.0 from 0.0; every block holds an all-zero row.
+        plan = st.lists(st.integers(0, inst.P), min_size=inst.N, max_size=inst.N)
+        plans = data.draw(st.lists(plan, max_size=8))
+        plans.insert(data.draw(st.integers(0, len(plans))), [0] * inst.N)
+        want = np.array([reference_evaluate_plan(inst, plan) for plan in plans])
+        assert evaluate_plan(inst, np.array(plans)).tobytes() == want.tobytes()
 
 
 class TestIsFeasible:
     def test_empty_plan_feasible(self):
         inst = generate(10, 4, 2, 50, 90, seed=1)
-        ok, violations = is_feasible(inst, ReleasePlan((0,) * 10))
+        ok, violations = is_feasible(inst, [0] * 10)
         assert ok and violations == []
 
     def test_missing_dependency_flagged(self):
@@ -153,7 +183,7 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=((0, 1),),
             budget=(10.0, 10.0),
         )
-        ok, violations = is_feasible(inst, ReleasePlan((1, 0)))
+        ok, violations = is_feasible(inst, [1, 0])
         assert not ok
         assert [v.kind for v in violations] == ["precedence"]
 
@@ -164,9 +194,9 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=((0, 1),),
             budget=(10.0, 10.0),
         )
-        ok, violations = is_feasible(inst, ReleasePlan((1, 2)))
+        ok, violations = is_feasible(inst, [1, 2])
         assert not ok and violations[0].kind == "precedence"
-        ok, _ = is_feasible(inst, ReleasePlan((2, 1)))
+        ok, _ = is_feasible(inst, [2, 1])
         assert ok
 
     def test_budget_boundary_inclusive(self):
@@ -176,7 +206,7 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=(),
             budget=(10.0,),
         )
-        ok, _ = is_feasible(inst, ReleasePlan((1, 1)))
+        ok, _ = is_feasible(inst, [1, 1])
         assert ok
 
     def test_over_budget_flagged(self):
@@ -186,7 +216,7 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=(),
             budget=(10.0,),
         )
-        ok, violations = is_feasible(inst, ReleasePlan((1, 1)))
+        ok, violations = is_feasible(inst, [1, 1])
         assert not ok and violations[0].kind == "budget"
 
 
@@ -194,20 +224,20 @@ class TestRandomValidPlan:
     def test_always_feasible(self):
         inst = generate(30, 4, 5, 20, 90, seed=13)
         for seed in range(300):
-            plan = random_valid_plan(inst, seed)
+            plan = one_plan(inst, seed)
             ok, violations = is_feasible(inst, plan)
             assert ok, (seed, violations)
 
     def test_deterministic(self):
         inst = generate(30, 4, 5, 20, 90, seed=13)
-        assert random_valid_plan(inst, 5) == random_valid_plan(inst, 5)
+        assert one_plan(inst, 5) == one_plan(inst, 5)
 
     def test_no_repair_needed_returns_raw_assignment(self):
         inst = generate(12, 3, 2, 0, 10_000, seed=4)
         seed = 21
         rng = random.Random(seed)
         raw = [rng.randint(0, inst.P) for _ in range(inst.N)]
-        assert random_valid_plan(inst, seed) == ReleasePlan(tuple(raw))
+        assert one_plan(inst, seed) == raw
 
 
 class TestRepairPlan:
@@ -224,7 +254,7 @@ class TestRepairPlan:
     def test_output_feasible_and_idempotent(self, n, p, m, dep, funding, seed, data):
         inst = generate(n, p, m, dep, funding, seed=seed)
         release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
-        repaired = repair_plan(inst, ReleasePlan(tuple(release)))
+        repaired = repair_plan(inst, release)
         ok, violations = is_feasible(inst, repaired)
         assert ok, violations
         assert repair_plan(inst, repaired) == repaired
@@ -233,13 +263,13 @@ class TestRepairPlan:
         rng = random.Random(99)
         inst = generate(25, 4, 3, 30, 80, seed=6)
         for _ in range(200):
-            plan = ReleasePlan(tuple(rng.randint(0, 4) for _ in range(25)))
+            plan = [rng.randint(0, 4) for _ in range(25)]
             ok, violations = is_feasible(inst, repair_plan(inst, plan))
             assert ok, violations
 
     def test_feasible_plan_untouched(self):
         inst = generate(20, 3, 3, 10, 110, seed=8)
-        plan = random_valid_plan(inst, 3)
+        plan = one_plan(inst, 3)
         assert repair_plan(inst, plan) == plan
 
     @given(
@@ -255,16 +285,14 @@ class TestRepairPlan:
     def test_same_plan_as_reference_on_generated(self, n, p, m, dep, funding, seed, data):
         inst = generate(n, p, m, dep, funding, seed=seed)
         release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
-        plan = ReleasePlan(tuple(release))
-        assert repair_plan(inst, plan) == reference_repair_plan(inst, plan)
+        assert repair_plan(inst, release) == reference_repair_plan(inst, release)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_same_plan_as_reference_on_fractional_costs(self, data):
         inst = fractional_instance(data)
         release = data.draw(st.lists(st.integers(0, inst.P), min_size=inst.N, max_size=inst.N))
-        plan = ReleasePlan(tuple(release))
-        assert repair_plan(inst, plan) == reference_repair_plan(inst, plan)
+        assert repair_plan(inst, release) == reference_repair_plan(inst, release)
 
     def test_loads_add_in_ascending_index(self):
         # 0.1 + 0.2 + 0.3 > 0.6 in floats, although 0.3 + 0.2 + 0.1 == 0.6.
@@ -274,14 +302,13 @@ class TestRepairPlan:
             importance=((3.0, 1.0, 2.0),), deps=(),
             budget=(0.6,),
         )
-        plan = ReleasePlan((1, 1, 1))
-        assert repair_plan(inst, plan) == ReleasePlan((1, 0, 1))
-        assert reference_repair_plan(inst, plan) == ReleasePlan((1, 0, 1))
+        assert repair_plan(inst, [1, 1, 1]) == [1, 0, 1]
+        assert reference_repair_plan(inst, [1, 1, 1]) == [1, 0, 1]
 
     def test_release_outside_range_rejected(self):
         inst = generate(5, 2, 2, 0, 90, seed=1)
         with pytest.raises(ValueError, match="outside 0..2"):
-            repair_plan(inst, ReleasePlan((0, 1, 3, 0, 0)))
+            repair_plan(inst, [0, 1, 3, 0, 0])
 
 
 def fractional_instance(data) -> MonrpInstance:
@@ -320,7 +347,8 @@ class TestSamplePlans:
                 rng.random()
             rng.gauss(0.0, 1.0)  # leaves a cached second normal in the state
         plans = sample_plans(inst, ours, n)
-        assert plans == [reference_random_plan(inst, theirs) for _ in range(n)]
+        assert plans.shape == (n, inst.N)
+        assert plans.tolist() == [reference_random_plan(inst, theirs) for _ in range(n)]
         assert ours.getstate() == theirs.getstate()
         return plans
 
@@ -349,7 +377,7 @@ class TestSamplePlans:
         inst = generate(15, 4, 3, 50, 10, seed=5)
         plans = self.assert_same_as_reference(inst, 8, 300)
         # about 12 of a plan's 15 requirements start in a release; under one stays
-        assert sum(x != 0 for plan in plans for x in plan.release) < len(plans)
+        assert np.count_nonzero(plans) < len(plans)
 
     def test_loads_add_in_ascending_index(self):
         # Once the 4.0 requirement is evicted, 0.1 + 0.2 + 0.3 > 0.6 still
@@ -361,7 +389,7 @@ class TestSamplePlans:
             budget=(0.6,),
         )
         plans = sample_plans(inst, random.Random(4), 300)
-        assert ReleasePlan((1, 1, 1, 0)) not in plans
+        assert [1, 1, 1, 0] not in plans.tolist()
         self.assert_same_as_reference(inst, 4, 300)
 
     @given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 20))
@@ -377,3 +405,25 @@ class TestSamplePlans:
         inst = generate(5, 2, 2, 0, 90, seed=1)
         with pytest.raises(ValueError, match="at least 1"):
             sample_plans(inst, random.Random(0), 0)
+
+
+class TestAsProblem:
+    """The problem's hooks take whole blocks and give what their rows give
+    one at a time."""
+
+    def test_block_evaluation_equals_row_by_row(self):
+        inst = generate(30, 4, 3, 10, 80, seed=2)
+        rng = random.Random(6)
+        x = np.array([[rng.randint(0, inst.P) for _ in range(inst.N)] for _ in range(40)], float)
+        prob = as_problem(inst)
+        block = prob.evaluate(np.arange(40), x)
+        rows = [prob.evaluate([k], x[[k]]) for k in range(40)]
+        assert block.tobytes() == np.concatenate(rows).tobytes()
+        assert prob.eval_count == 80
+
+    def test_block_repair_equals_row_by_row(self):
+        inst = generate(30, 4, 3, 10, 80, seed=2)
+        rng = random.Random(7)
+        plans = [[rng.randint(0, inst.P) for _ in range(inst.N)] for _ in range(40)]
+        repaired = as_problem(inst).repair(np.array(plans, dtype=float))
+        assert repaired.tolist() == [list(map(float, repair_plan(inst, p))) for p in plans]

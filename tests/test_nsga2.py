@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from flashopt import monrp, nsga2
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import binary_dominates, front0
-from flashopt.monrp import ReleasePlan, as_problem, generate, is_feasible
+from flashopt.monrp import as_problem, generate, is_feasible
 from flashopt.nsga2 import Nsga2Config, crowding_distance, pool_snapper, run_nsga2
 from flashopt.synth import make_synthetic
 
@@ -137,8 +137,7 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=4, seed=7))
         assert res.evals == 50
         for e in res.evaluated:
-            plan = ReleasePlan(tuple(int(v) for v in e.decisions))
-            ok, violations = is_feasible(inst, plan)
+            ok, violations = is_feasible(inst, e.decisions.astype(int).tolist())
             assert ok, violations
 
     def test_tabular_offspring_are_pool_rows(self):
@@ -175,7 +174,7 @@ class TestMonrpRngContract:
         batch = run_nsga2(as_problem(inst), config)
         monkeypatch.setattr(
             monrp, "sample_plans",
-            lambda inst, rng, n: [reference_random_plan(inst, rng) for _ in range(n)],
+            lambda inst, rng, n: np.array([reference_random_plan(inst, rng) for _ in range(n)]),
         )
         scalar = run_nsga2(as_problem(inst), config)
 
@@ -183,7 +182,7 @@ class TestMonrpRngContract:
             return [ev.decisions.tolist() for ev in result.evaluated]
 
         rng = random.Random(seed)
-        start = [list(map(float, reference_random_plan(inst, rng).release)) for _ in range(20)]
+        start = [list(map(float, reference_random_plan(inst, rng))) for _ in range(20)]
         assert decisions(batch)[:20] == start
         assert decisions(batch) == decisions(scalar)
 
