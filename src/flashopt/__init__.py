@@ -18,7 +18,6 @@ from .core import (
     load_tabular,
 )
 from .dominance import (
-    FrontPartition,
     binary_dominates,
     domination_scores,
     front0,

@@ -77,6 +77,13 @@ class ExperimentSpec:
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
         if repeated:
             raise ValueError(f"algorithm(s) {repeated} listed more than once")
+        # Check every algorithm's settings before the first run starts.
+        if "flash" in self.algorithms:
+            FlashConfig(self.size0, self.lives)
+        if "nsga2" in self.algorithms:
+            Nsga2Config(self.pop, self.generations)
+        if "random" in self.algorithms and "flash" not in self.algorithms and self.budget < 1:
+            raise ValueError("budget must be at least 1")
 
 
 @dataclass
@@ -139,7 +146,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for r in range(spec.repeats):
         seed_r = spec.seed + r
         pool = None
-        if any(a in ("flash", "sway", "random") for a in spec.algorithms):
+        if any(a in ("flash", "sway") for a in spec.algorithms):  # random draws its own
             if base.kind is ProblemKind.TABULAR and spec.pool >= base.pool_size:
                 pool = Pool(np.arange(base.pool_size), base.x)
             else:

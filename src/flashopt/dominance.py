@@ -25,7 +25,6 @@ two sequences of floats, each as long as the schema.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +35,6 @@ from .core import ObjectiveSchema, Sense
 # closer to cache size on thousands of vectors; more rows mean fewer
 # tiles, and fewer calls, on small sets.
 _TILE_ROWS = 16
-
-
-@dataclass(frozen=True)
-class FrontPartition:
-    """Fronts of row indices, best front first.
-
-    Front 0 is the non-dominated set; no row in a later front binary-
-    dominates a row in an earlier one; within a front rows ascend.
-    """
-
-    fronts: tuple[tuple[int, ...], ...]
 
 
 def _pair(x, y, schema: ObjectiveSchema) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -134,11 +122,14 @@ def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
     return mask
 
 
-def nondominated_sort(y, schema: ObjectiveSchema) -> FrontPartition:
-    """Fast non-dominated sort of the rows of y into fronts.
+def nondominated_sort(y, schema: ObjectiveSchema) -> tuple[tuple[int, ...], ...]:
+    """Fast non-dominated sort of the rows of y into fronts of row indices,
+    best front first.
 
+    Front 0 is the non-dominated set; no row in a later front binary-
+    dominates a row in an earlier one; within a front rows ascend.
     Dominance is computed once per distinct objective vector; duplicate
-    vectors always land in the same front. Within a front, rows ascend.
+    vectors always land in the same front.
     """
     y = _matrix(y, schema)
     if len(y) == 0:
@@ -166,7 +157,7 @@ def nondominated_sort(y, schema: ObjectiveSchema) -> FrontPartition:
         fronts.append(tuple(np.flatnonzero(current[inverse]).tolist()))
         remaining &= ~current
         dom_count = dom_count - dominates[current].sum(axis=0)
-    return FrontPartition(tuple(fronts))
+    return tuple(fronts)
 
 
 def front0(y, schema: ObjectiveSchema) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cart
 from .core import IterationRecord, ObjectiveSchema, Pool, Problem, RunResult
-from .dominance import front0, nondominated_mask, _class_scores
+from .dominance import domination_scores, front0
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,18 @@ def what_to_evaluate_next(
 
     Predictions from one tree per objective form pseudo-points; the row
     returned is the indicator-best member of their non-dominated front,
-    ties broken by the lowest candidate id. The filter runs on the raw
-    predicted rows and keeps copies of a front vector together; only the
-    front rows are then grouped by exact vector, so each distinct front
-    vector is scored once, weighted by its number of copies. Copies share
-    front membership and domination score, so this is exact.
+    ties broken by the lowest candidate id. front0 filters the raw
+    predicted rows and keeps copies of a front vector together; then
+    domination_scores groups only the front rows by exact vector, so each
+    distinct front vector is scored once, weighted by its number of copies.
+    Copies share front membership and domination score, so this is exact.
     """
     if len(cand_ids) == 0:
         raise ValueError("no candidates to choose from")
     if len(models) != len(schema):
         raise ValueError("need exactly one model per objective")
     preds = np.column_stack([cart.predict_many(m, cand_matrix) for m in models])
-    front = np.nonzero(nondominated_mask(preds * -np.array(schema.weights)))[0]
-    keys, inverse, counts = np.unique(
-        preds[front], axis=0, return_inverse=True, return_counts=True
-    )
-    scores = _class_scores(keys, counts, schema)[inverse.reshape(-1)]
+    front = front0(preds, schema)
+    scores = domination_scores(preds[front], schema)
     best = front[scores == scores.max()]
     return int(best[np.argmin(np.asarray(cand_ids)[best])])

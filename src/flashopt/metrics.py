@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObjectiveSchema, min_max_scale
-from .dominance import nondominated_mask, oriented_matrix, _matrix
+from .dominance import front0, _matrix
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def reference_front(y, schema: ObjectiveSchema) -> ReferenceFront:
     y = _matrix(y, schema)
     _, first = np.unique(y, axis=0, return_index=True)
     keys = y[np.sort(first)]
-    front = keys[nondominated_mask(oriented_matrix(keys, schema))]
+    front = keys[front0(keys, schema)]
     return ReferenceFront(
         points=tuple(map(tuple, front.tolist())),
         lo=tuple(front.min(axis=0).tolist()),

@@ -83,13 +83,6 @@ class MonrpInstance:
         return self._scores
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "budget" or "precedence"
-    index: int  # release number or dependent requirement
-    detail: str
-
-
 def generate(
     n_requirements: int,
     n_releases: int,
@@ -178,28 +171,23 @@ def _check_plan(inst: MonrpInstance, release: Sequence[int]) -> None:
         raise ValueError(f"plan has a release outside 0..{inst.P}")
 
 
-def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> tuple[bool, list[Violation]]:
-    """Check one plan's budgets per release and its dependency precedence.
+def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> bool:
+    """Whether one plan keeps every release within its budget and every
+    implemented requirement's dependencies implemented no later than it.
 
-    Infeasibility is reported, not raised: the second element lists every
-    violation found.
+    Infeasibility is answered, not raised; only a malformed plan raises.
     """
     _check_plan(inst, release)
-    violations: list[Violation] = []
     load = _release_loads(inst, release)
     for k in range(1, inst.P + 1):
         if load[k] > inst.budget[k - 1]:
-            violations.append(
-                Violation("budget", k, f"release {k} costs {load[k]} > {inst.budget[k - 1]}")
-            )
+            return False
     for a, b in inst.deps:
         if release[a] == 0:
             continue
         if release[b] == 0 or release[b] > release[a]:
-            violations.append(
-                Violation("precedence", a, f"requirement {a} needs {b} no later than it")
-            )
-    return (not violations), violations
+            return False
+    return True
 
 
 def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:

@@ -186,11 +186,10 @@ def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):
     member of the previous, whole front; only a truncated front is crowded
     again, among its own survivors.
     """
-    partition = nondominated_sort(y, schema)
     rank = np.zeros(len(y), dtype=int)
     crowd = np.zeros(len(y))
     chosen: list[int] = []
-    for r, front in enumerate(partition.fronts):
+    for r, front in enumerate(nondominated_sort(y, schema)):
         members = np.array(front)
         dists = crowding_distance(y[members])
         room = pop_size - len(chosen)

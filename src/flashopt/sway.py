@@ -26,12 +26,7 @@ class DegenerateItems(ValueError):
 
 @dataclass(frozen=True)
 class SwayConfig:
-    enough: int | None = None  # recursion floor; defaults to ceil(sqrt(pool size))
     seed: int = 0
-
-    def __post_init__(self):
-        if self.enough is not None and self.enough < 2:
-            raise ValueError("enough must be at least 2")
 
 
 def two_distant_points(x: np.ndarray, ids: np.ndarray, seed: int) -> tuple[int, int]:
@@ -78,9 +73,7 @@ def run_sway(problem: Problem, pool: Pool, config: SwayConfig) -> RunResult:
     concatenated calls."""
     if len(pool) < 2:
         raise ValueError("pool must hold at least 2 points")
-    enough = config.enough
-    if enough is None:
-        enough = max(2, math.ceil(math.sqrt(len(pool))))
+    enough = max(2, math.ceil(math.sqrt(len(pool))))  # the recursion floor
     schema = problem.schema
     rng = random.Random(config.seed)
 

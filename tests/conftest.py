@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from flashopt import cart
-from flashopt.dominance import FrontPartition, nondominated_sort, oriented_matrix
+from flashopt.dominance import nondominated_sort, oriented_matrix
 from flashopt.core import (
     LoadError,
     ObjectiveSchema,
@@ -212,10 +212,9 @@ def reference_crowding_distance(y) -> list[float]:
 def reference_rank_and_crowd(y, schema):
     """Front rank and crowding of every row, from a fresh sort of the
     population's objective matrix alone."""
-    partition = nondominated_sort(y, schema)
     ranks = [0] * len(y)
     crowd = [0.0] * len(y)
-    for rank, members in enumerate(partition.fronts):
+    for rank, members in enumerate(nondominated_sort(y, schema)):
         dists = reference_crowding_distance(y[list(members)])
         for k, d in zip(members, dists):
             ranks[k] = rank
@@ -227,9 +226,8 @@ def reference_select(y, pop_size, schema) -> list[int]:
     """Environmental selection over the rows of y: whole fronts first, the
     boundary front truncated by descending crowding distance (ties to the
     lowest row). Returns the chosen rows in selection order."""
-    partition = nondominated_sort(y, schema)
     chosen: list[int] = []
-    for front in partition.fronts:
+    for front in nondominated_sort(y, schema):
         members = list(front)
         if len(chosen) + len(members) <= pop_size:
             chosen.extend(members)
@@ -253,7 +251,7 @@ def _distinct_classes(y):
     return list(classes), list(classes.values())
 
 
-def reference_nondominated_sort(y, schema) -> FrontPartition:
+def reference_nondominated_sort(y, schema) -> tuple[tuple[int, ...], ...]:
     """Fast non-dominated sort of the rows of y, with its dominance matrix
     built from (d, d, m) comparisons in one step and rows grouped by a
     dict."""
@@ -279,7 +277,7 @@ def reference_nondominated_sort(y, schema) -> FrontPartition:
         fronts.append(tuple(front))
         remaining &= ~current
         dom_count = dom_count - dominates[current].sum(axis=0)
-    return FrontPartition(tuple(fronts))
+    return tuple(fronts)
 
 
 def reference_snap(table, used, children) -> list[int]:

@@ -162,7 +162,7 @@ def test_criterion_2_front_sort_equivalence():
         vectors = [
             tuple(round(rng.uniform(0, 5), 1) for _ in range(k)) for _ in range(n)
         ]
-        got = [list(f) for f in nondominated_sort(np.array(vectors), schema).fronts]
+        got = [list(f) for f in nondominated_sort(np.array(vectors), schema)]
         assert got == brute_front_partition(vectors, ["min"] * k)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -321,8 +321,7 @@ def test_criterion_10_monrp_formulas():
     tight = generate(30, 4, 5, 25, 85, seed=77)
     for seed in range(1000):
         plan = sample_plans(tight, random.Random(seed), 1)[0].tolist()
-        feasible, violations = is_feasible(tight, plan)
-        assert feasible, (seed, violations)
+        assert is_feasible(tight, plan), seed
     ok(10, "release-planning formulas")
 
 

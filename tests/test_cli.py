@@ -1,5 +1,6 @@
 import pytest
 
+from flashopt import cli
 from flashopt.cli import (
     ExperimentSpec,
     build_problem,
@@ -7,6 +8,7 @@ from flashopt.cli import (
     run_experiment,
     run_random,
 )
+from flashopt.core import Problem
 from flashopt.dominance import front0
 from flashopt.synth import make_synthetic
 
@@ -102,6 +104,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"\['flash'\] listed more than once"):
             ExperimentSpec(problem="synth:line", algorithms=["flash", "flash", "random"])
 
+    def test_pool_drawn_only_for_flash_or_sway(self, monkeypatch):
+        sizes = []
+        real = Problem.sample_pool
+
+        def spy(self, n, seed):
+            sizes.append(n)
+            return real(self, n, seed)
+
+        monkeypatch.setattr(Problem, "sample_pool", spy)
+        spec = ExperimentSpec(problem="monrp:12-3-2-20-50", algorithms=["nsga2", "random"],
+                              repeats=2, pool=3000, pop=8, generations=2)
+        run_experiment(spec)
+        assert sizes == [100, 100]  # random's own budget-sized draws
+
     def test_results_file_deterministic(self, tmp_path):
         out1 = tmp_path / "a" / "results.csv"
         out2 = tmp_path / "b" / "results.csv"
@@ -186,6 +202,29 @@ class TestMainRun:
         err = capsys.readouterr().err
         assert "no algorithm given" in err and "'flash', 'sway', 'nsga2', 'random'" in err
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("algo, flag, message", [
+        ("nsga2,random", ["--budget", "0"], "budget must be at least 1"),
+        ("nsga2,flash", ["--lives", "0"], "lives must be at least 1"),
+        ("flash,nsga2", ["--gens", "0"], "generations must be at least 1"),
+    ], ids=["budget", "lives", "gens"])
+    def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                             algo, flag, message):
+        runs = []
+
+        def spy(real):
+            def counted(*args):
+                runs.append(real.__name__)
+                return real(*args)
+            return counted
+
+        for name in ("run_flash", "run_nsga2"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        argv = ["run", "--problem", "synth:step", "--algo", algo, "--pool", "200",
+                "--pop", "8", "--gens", "2", *flag, "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert runs == []
 
     def test_non_integer_monrp_field_exits_1_with_the_format(self, tmp_path, capsys):
         argv = ["run", "--problem", "monrp:5-2-2-x-90", "--algo", "flash",

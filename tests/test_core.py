@@ -321,8 +321,7 @@ class TestSamplePool:
         assert len(sample) == 100
         assert sample.ids.tolist() == list(range(100))
         for row in sample.x.astype(int).tolist():
-            ok, violations = is_feasible(inst, row)
-            assert ok, violations
+            assert is_feasible(inst, row), row
 
     def test_generative_sampling_deterministic(self):
         inst = generate(10, 2, 2, 0, 120, seed=1)

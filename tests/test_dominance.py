@@ -190,15 +190,15 @@ def matrix(vectors):
 class TestNondominatedSort:
     def test_mutually_incomparable_single_front(self, min2):
         y = matrix([(0, 2), (1, 1), (2, 0)])
-        assert nondominated_sort(y, min2).fronts == ((0, 1, 2),)
+        assert nondominated_sort(y, min2) == ((0, 1, 2),)
 
     def test_chain_gives_three_fronts(self, min2):
         y = matrix([(0, 0), (1, 1), (2, 2)])
-        assert nondominated_sort(y, min2).fronts == ((0,), (1,), (2,))
+        assert nondominated_sort(y, min2) == ((0,), (1,), (2,))
 
     def test_duplicates_share_a_front(self, min2):
         y = matrix([(1, 1), (0, 0), (1, 1)])
-        assert nondominated_sort(y, min2).fronts == ((1,), (0, 2))
+        assert nondominated_sort(y, min2) == ((1,), (0, 2))
 
     def test_empty_raises(self, min2):
         with pytest.raises(ValueError):
@@ -212,16 +212,16 @@ class TestNondominatedSort:
             vectors = [
                 tuple(round(rng.uniform(0, 4), 1) for _ in range(k)) for _ in range(n)
             ]
-            got = [list(f) for f in nondominated_sort(matrix(vectors), schema).fronts]
+            got = [list(f) for f in nondominated_sort(matrix(vectors), schema)]
             assert got == brute_front_partition(vectors, ["min"] * k)
 
     @given(grid_sets(min_size=1))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_and_brute_partition(self, case):
         y, schema = case
-        partition = nondominated_sort(y, schema)
-        assert partition == reference_nondominated_sort(y, schema)
-        assert [list(f) for f in partition.fronts] == brute_front_partition(
+        fronts = nondominated_sort(y, schema)
+        assert fronts == reference_nondominated_sort(y, schema)
+        assert [list(f) for f in fronts] == brute_front_partition(
             y.tolist(), senses_of(schema)
         )
 
@@ -229,7 +229,7 @@ class TestNondominatedSort:
         schema = schema_for(3)
         y = matrix([tuple(rng.random() for _ in range(3)) for _ in range(80)])
         rows = front0(y, schema)
-        assert tuple(rows.tolist()) == nondominated_sort(y, schema).fronts[0]
+        assert tuple(rows.tolist()) == nondominated_sort(y, schema)[0]
 
 
 class TestMatrixInput:

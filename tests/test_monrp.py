@@ -173,8 +173,7 @@ class TestEvaluatePlan:
 class TestIsFeasible:
     def test_empty_plan_feasible(self):
         inst = generate(10, 4, 2, 50, 90, seed=1)
-        ok, violations = is_feasible(inst, [0] * 10)
-        assert ok and violations == []
+        assert is_feasible(inst, [0] * 10)
 
     def test_missing_dependency_flagged(self):
         inst = MonrpInstance(
@@ -183,9 +182,7 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=((0, 1),),
             budget=(10.0, 10.0),
         )
-        ok, violations = is_feasible(inst, [1, 0])
-        assert not ok
-        assert [v.kind for v in violations] == ["precedence"]
+        assert not is_feasible(inst, [1, 0])
 
     def test_late_dependency_flagged(self):
         inst = MonrpInstance(
@@ -194,10 +191,8 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=((0, 1),),
             budget=(10.0, 10.0),
         )
-        ok, violations = is_feasible(inst, [1, 2])
-        assert not ok and violations[0].kind == "precedence"
-        ok, _ = is_feasible(inst, [2, 1])
-        assert ok
+        assert not is_feasible(inst, [1, 2])
+        assert is_feasible(inst, [2, 1])
 
     def test_budget_boundary_inclusive(self):
         inst = MonrpInstance(
@@ -206,8 +201,7 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=(),
             budget=(10.0,),
         )
-        ok, _ = is_feasible(inst, [1, 1])
-        assert ok
+        assert is_feasible(inst, [1, 1])
 
     def test_over_budget_flagged(self):
         inst = MonrpInstance(
@@ -216,8 +210,24 @@ class TestIsFeasible:
             importance=((1.0, 1.0),), deps=(),
             budget=(10.0,),
         )
-        ok, violations = is_feasible(inst, [1, 1])
-        assert not ok and violations[0].kind == "budget"
+        assert not is_feasible(inst, [1, 1])
+
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 50),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_feasible_iff_repair_keeps_the_plan(self, n, p, m, dep, funding, seed, data):
+        # Repair only unimplements requirements, and only to mend a broken
+        # budget or precedence, so it returns a plan unchanged iff it passes.
+        inst = generate(n, p, m, dep, funding, seed=seed)
+        release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+        assert is_feasible(inst, release) == (repair_plan(inst, release) == release)
 
 
 class TestRandomValidPlan:
@@ -225,8 +235,7 @@ class TestRandomValidPlan:
         inst = generate(30, 4, 5, 20, 90, seed=13)
         for seed in range(300):
             plan = one_plan(inst, seed)
-            ok, violations = is_feasible(inst, plan)
-            assert ok, (seed, violations)
+            assert is_feasible(inst, plan), seed
 
     def test_deterministic(self):
         inst = generate(30, 4, 5, 20, 90, seed=13)
@@ -255,8 +264,7 @@ class TestRepairPlan:
         inst = generate(n, p, m, dep, funding, seed=seed)
         release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
         repaired = repair_plan(inst, release)
-        ok, violations = is_feasible(inst, repaired)
-        assert ok, violations
+        assert is_feasible(inst, repaired)
         assert repair_plan(inst, repaired) == repaired
 
     def test_outputs_feasible(self):
@@ -264,8 +272,7 @@ class TestRepairPlan:
         inst = generate(25, 4, 3, 30, 80, seed=6)
         for _ in range(200):
             plan = [rng.randint(0, 4) for _ in range(25)]
-            ok, violations = is_feasible(inst, repair_plan(inst, plan))
-            assert ok, violations
+            assert is_feasible(inst, repair_plan(inst, plan)), plan
 
     def test_feasible_plan_untouched(self):
         inst = generate(20, 3, 3, 10, 110, seed=8)

@@ -137,8 +137,8 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=4, seed=7))
         assert res.evals == 50
         for e in res.evaluated:
-            ok, violations = is_feasible(inst, e.decisions.astype(int).tolist())
-            assert ok, violations
+            plan = e.decisions.astype(int).tolist()
+            assert is_feasible(inst, plan), plan
 
     def test_tabular_offspring_are_pool_rows(self):
         prob = make_synthetic("sphere2", 200)
