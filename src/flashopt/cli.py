@@ -140,6 +140,13 @@ def build_problem(source: str, pool_n: int, base_seed: int) -> Problem:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     base = build_problem(spec.problem, spec.pool, spec.seed)
+    tabular = base.kind is ProblemKind.TABULAR
+    # The bounds that depend on the pool, checked before the first run.
+    pool_n = min(spec.pool, base.pool_size) if tabular else spec.pool
+    if "flash" in spec.algorithms and spec.size0 > pool_n:
+        raise ValueError(f"size0={spec.size0} exceeds pool of {pool_n}")
+    if "nsga2" in spec.algorithms and tabular and spec.pop > base.pool_size:
+        raise ValueError(f"pop_size {spec.pop} exceeds pool of {base.pool_size}")
     results: dict[tuple[int, str], RunResult] = {}
     walls: dict[tuple[int, str], float] = {}
 
@@ -147,7 +154,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         seed_r = spec.seed + r
         pool = None
         if any(a in ("flash", "sway") for a in spec.algorithms):  # random draws its own
-            if base.kind is ProblemKind.TABULAR and spec.pool >= base.pool_size:
+            if tabular and spec.pool >= base.pool_size:
                 pool = Pool(np.arange(base.pool_size), base.x)
             else:
                 pool = base.sample_pool(spec.pool, seed_r)

@@ -15,7 +15,10 @@ Two families of comparison are used throughout the toolkit:
   computes both directions of each pair from one set of per-objective
   differences, and adds each pair's m exponentials in the order numpy's
   own sum would, so its verdicts are bit-identical to the plain (d, d, m)
-  formulation.
+  formulation. A tile whose key ranges rule out overflow skips the
+  exponent shift. On large sets _class_scores deals its tiles to one
+  thread per CPU the process may use; the scores are exact sums, so they
+  are the same for any number of CPUs.
 
 Set-level kernels take one (n, m) objective matrix, row k the k-th
 point of the set, and answer in row indices. The pairwise predicates take
@@ -25,6 +28,8 @@ two sequences of floats, each as long as the schema.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -35,6 +40,12 @@ from .core import ObjectiveSchema, Sense
 # closer to cache size on thousands of vectors; more rows mean fewer
 # tiles, and fewer calls, on small sets.
 _TILE_ROWS = 16
+
+# Fewest wins tiles that _class_scores spreads over threads. Two threads
+# contend for the GIL between array passes, and on two CPUs they only beat
+# one thread from about 128 tiles (2,048 vectors of 3 objectives) up; the
+# tabular trees and flash's fronts take one to a few tiles.
+_PARALLEL_TILES = 128
 
 
 def _pair(x, y, schema: ObjectiveSchema) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -188,79 +199,171 @@ def _class_scores(keys, counts: np.ndarray, schema: ObjectiveSchema) -> np.ndarr
     Each tile of _win_tiles adds its row wins into rows [a, b) and its
     column wins into columns [a, d), so no d x d matrix is built. The
     pairs inside the tile are already in beats, so they are cleared from
-    beaten first. Integer sums make this exact.
+    beaten first. _workers(tiles) threads, each with buffers allocated
+    here, take the tiles in ascending order from one shared iterator, so a
+    thread whose CPU is busy with another process takes fewer. Each sums
+    its wins as 0/1 floats times the counts into its own array. Every
+    partial sum is an integer below 2^53, so each float sum is exact
+    whatever its order, and the total is the same whichever thread took
+    which tile, for any worker count.
     """
-    scores = np.zeros(len(keys), dtype=counts.dtype)
-    for a, b, beats, beaten in _win_tiles(keys, schema):
-        beaten[:, : b - a] = False
-        scores[a:b] += beats @ counts[a:]
-        scores[a:] += counts[a:b] @ beaten
-    return scores
+    signed = _signed(keys, schema)
+    d = len(signed)
+    starts = range(0, d, _TILE_ROWS)
+    workers = _workers(len(starts))
+    weights = counts.astype(float)
+    parts = [np.zeros(d) for _ in range(workers)]
+    buffers = [_tile_buffers(signed) for _ in range(workers)]
+    wide = [np.empty(min(d, _TILE_ROWS) * d) for _ in range(workers)]
+    pending = iter(starts)
+    lock = threading.Lock()
+
+    def next_start() -> int | None:
+        with lock:
+            return next(pending, None)
+
+    def share(w: int) -> None:
+        scores = parts[w]
+        for a, b, beats, beaten in _win_tiles(signed, iter(next_start, None), buffers[w]):
+            beaten[:, : b - a] = False
+            flags = wide[w][: beats.size].reshape(beats.shape)
+            np.copyto(flags, beats)
+            scores[a:b] += flags @ weights[a:]
+            np.copyto(flags, beaten)
+            scores[a:] += weights[a:b] @ flags
+
+    _run_shares(share, workers)
+    for part in parts[1:]:
+        parts[0] += part
+    return parts[0].astype(counts.dtype)
+
+
+def _workers(tiles: int) -> int:
+    """Threads to score `tiles` wins tiles on: one below _PARALLEL_TILES,
+    else every CPU this process may run on, at most one per tile."""
+    if tiles < _PARALLEL_TILES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tiles)
+
+
+def _run_shares(share, workers: int) -> None:
+    """share(0) on this thread and share(1..workers-1) on threads of their
+    own; numpy releases the GIL inside each array pass. Every thread is
+    joined before this returns or raises, and a worker's exception is
+    raised here."""
+    errors: list[BaseException] = []
+
+    def guarded(w: int) -> None:
+        try:
+            share(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _class_wins(keys, schema: ObjectiveSchema) -> np.ndarray:
     """wins[i, j] iff vector i indicator-dominates vector j."""
-    d = len(keys)
+    signed = _signed(keys, schema)
+    d = len(signed)
     wins = np.zeros((d, d), dtype=bool)
-    for a, b, beats, beaten in _win_tiles(keys, schema):
+    tiles = _win_tiles(signed, range(0, d, _TILE_ROWS), _tile_buffers(signed))
+    for a, b, beats, beaten in tiles:
         wins[a:b, a:] = beats
         wins[a:, a:b] |= beaten.T
     return wins
 
 
-def _win_tiles(keys, schema: ObjectiveSchema):
-    """Indicator wins among the rows of keys, one tile at a time.
+def _signed(keys, schema: ObjectiveSchema) -> np.ndarray:
+    """Rows of keys times the schema's weights, so larger is better."""
+    return _matrix(keys, schema) * np.array(schema.weights, dtype=float)
 
-    Yields (a, b, beats, beaten) for rows [a, b) against columns [a, d):
-    beats[i, j] iff row a+i indicator-dominates row a+j, and beaten[i, j]
-    iff row a+j indicator-dominates row a+i. Both arrays are overwritten
-    by the next tile.
 
-    Computed as sum(e^delta) > sum(e^-delta) with delta = w (x_i - x_j) / m,
-    both sides rescaled by a common factor when the exponents would
-    overflow; rescaling by a positive constant cannot change the comparison.
+def _tile_buffers(signed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for one thread's tiles of _win_tiles over signed."""
+    d, m = signed.shape
+    size = min(d, _TILE_ROWS) * d
+    return (np.empty((m, size)), np.empty((m, size)), np.empty(size),
+            np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+
+
+def _win_tiles(signed: np.ndarray, starts, buffers: tuple[np.ndarray, ...]):
+    """Indicator wins among the rows of signed, one tile at a time.
+
+    Yields (a, b, beats, beaten) for rows [a, b) against columns [a, d),
+    for each tile start a in starts: beats[i, j] iff row a+i indicator-
+    dominates row a+j, and beaten[i, j] iff row a+j indicator-dominates
+    row a+i. Both arrays live in buffers (from _tile_buffers) and are
+    overwritten by the next tile.
+
+    Computed as sum(e^delta) > sum(e^-delta) with delta = (x_i - x_j) / m
+    on the signed rows, both sides rescaled by a common factor when the
+    exponents would overflow; rescaling by a positive constant cannot
+    change the comparison.
 
     Tiles hold _TILE_ROWS rows over the upper triangle, with one 2-D
     buffer per objective. Each tile yields both directions: forward =
-    sum_k e^(delta_k - shift) and backward = sum_k e^(-shift - delta_k).
-    delta is exactly antisymmetric, the shift depends on |delta| only and
-    IEEE addition commutes, so backward is, float for float, the forward
-    sum of the reversed pair. The m terms are added in the order numpy's
-    sum over a contiguous axis uses (_ordered_sum), so every verdict is
-    bit-identical to summing a (d, d, m) array of exponentials along its
-    last axis.
+    sum_k e^(delta_k - shift) and backward = sum_k e^(-shift - delta_k),
+    with shift = max(max_k |delta_k| - 700, 0). delta is exactly
+    antisymmetric, the shift depends on |delta| only and IEEE addition
+    commutes, so backward is, float for float, the forward sum of the
+    reversed pair. The m terms are added in the order numpy's sum over a
+    contiguous axis uses (_ordered_sum), so every verdict is bit-identical
+    to summing a (d, d, m) array of exponentials along its last axis.
+
+    A tile skips the shift when every column's range over rows [a, d),
+    divided by m, is at most 700. Rounding is monotonic, so no computed
+    |delta| in the tile exceeds that bound; the shift is then +0.0, and
+    e^(delta - 0.0) and e^(-0.0 - delta) are e^delta and e^-delta exactly.
+    A NaN or infinite key fails the test and takes the shift.
     """
-    m = len(schema)
-    signed = _matrix(keys, schema) * np.array(schema.weights, dtype=float)
-    d = signed.shape[0]
+    d, m = signed.shape
     cols = np.ascontiguousarray(signed.T)
-    rows = min(d, _TILE_ROWS)
-    delta_buf = np.empty((m, rows * d))
-    term_buf = np.empty((m, rows * d))
-    shift_buf = np.empty(rows * d)
-    beats_buf = np.empty(rows * d, dtype=bool)
-    beaten_buf = np.empty(rows * d, dtype=bool)
-    for a in range(0, d, _TILE_ROWS):
+    suffix = signed[::-1]
+    spans = np.maximum.accumulate(suffix)[::-1] - np.minimum.accumulate(suffix)[::-1]
+    shift_free = np.all(spans / m <= 700.0, axis=1)
+    delta_buf, term_buf, shift_buf, beats_buf, beaten_buf = buffers
+    for a in starts:
         b = min(d, a + _TILE_ROWS)
         shape = (b - a, d - a)
         size = shape[0] * shape[1]
         delta = [delta_buf[k, :size].reshape(shape) for k in range(m)]
         term = [term_buf[k, :size].reshape(shape) for k in range(m)]
-        shift = shift_buf[:size].reshape(shape)
         for k in range(m):
             np.subtract(cols[k][a:b, None], cols[k][None, a:], out=delta[k])
             np.divide(delta[k], m, out=delta[k])
-        np.abs(delta[0], out=shift)
-        for k in range(1, m):
-            np.maximum(shift, np.abs(delta[k], out=term[k]), out=shift)
-        np.subtract(shift, 700.0, out=shift)
-        np.maximum(shift, 0.0, out=shift)
-        for k in range(m):
-            np.exp(np.subtract(delta[k], shift, out=term[k]), out=term[k])
-        forward = _ordered_sum(term)
-        np.negative(shift, out=shift)
-        for k in range(m):
-            np.exp(np.subtract(shift, delta[k], out=delta[k]), out=delta[k])
+        if shift_free[a]:
+            for k in range(m):
+                np.exp(delta[k], out=term[k])
+            forward = _ordered_sum(term)
+            for k in range(m):
+                np.exp(np.negative(delta[k], out=delta[k]), out=delta[k])
+        else:
+            shift = shift_buf[:size].reshape(shape)
+            np.abs(delta[0], out=shift)
+            for k in range(1, m):
+                np.maximum(shift, np.abs(delta[k], out=term[k]), out=shift)
+            np.subtract(shift, 700.0, out=shift)
+            np.maximum(shift, 0.0, out=shift)
+            for k in range(m):
+                np.exp(np.subtract(delta[k], shift, out=term[k]), out=term[k])
+            forward = _ordered_sum(term)
+            np.negative(shift, out=shift)
+            for k in range(m):
+                np.exp(np.subtract(shift, delta[k], out=delta[k]), out=delta[k])
         backward = _ordered_sum(delta)
         beats = np.less(backward, forward, out=beats_buf[:size].reshape(shape))
         beaten = np.less(forward, backward, out=beaten_buf[:size].reshape(shape))

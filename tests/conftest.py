@@ -3,10 +3,11 @@
 The oracles below re-implement the comparison definitions directly from
 their formulas, in plain Python, without touching the library's dominance
 module. Tests freeze expected values computed by these oracles and compare
-the library against them. reference_class_wins, reference_nondominated_mask
-and reference_pick are the exceptions: the earlier numpy forms of the
-indicator-wins kernel, of the non-dominated filter and of flash's pick,
-kept as their exact references. So are reference_crowding_distance,
+the library against them. reference_class_wins, reference_class_scores,
+reference_nondominated_mask and reference_pick are the exceptions: the
+earlier numpy forms of the indicator-wins kernel, of its one-thread
+scoring, of the non-dominated filter and of flash's pick, kept as their
+exact references. So are reference_crowding_distance,
 reference_rank_and_crowd and reference_select, NSGA-II's earlier
 loop-form crowding and its sort-twice selection over the library's
 nondominated_sort, and reference_nondominated_sort and reference_snap, the
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from flashopt import cart
-from flashopt.dominance import nondominated_sort, oriented_matrix
+from flashopt.dominance import _ordered_sum, nondominated_sort, oriented_matrix
 from flashopt.core import (
     LoadError,
     ObjectiveSchema,
@@ -128,6 +129,32 @@ def reference_class_wins(keys, schema) -> np.ndarray:
         shift = np.maximum(0.0, np.abs(delta).max(axis=2) - 700.0)[:, :, None]
         forward[start:stop] = np.exp(delta - shift).sum(axis=2)
     return forward.T < forward
+
+
+def reference_class_scores(keys, counts, schema) -> np.ndarray:
+    """The scoring kernel in its earlier one-thread form: counts[j] summed
+    over the vectors j that vector i indicator-dominates, added as integers
+    one 16-row tile at a time, every tile with the overflow shift."""
+    m = len(schema)
+    signed = np.array(keys, dtype=float).reshape(len(keys), m)
+    signed = signed * np.array(schema.weights, dtype=float)
+    d = signed.shape[0]
+    cols = np.ascontiguousarray(signed.T)
+    scores = np.zeros(d, dtype=counts.dtype)
+    for a in range(0, d, 16):
+        b = min(d, a + 16)
+        delta = [(cols[k][a:b, None] - cols[k][None, a:]) / m for k in range(m)]
+        shift = np.abs(delta[0])
+        for k in range(1, m):
+            shift = np.maximum(shift, np.abs(delta[k]))
+        shift = np.maximum(shift - 700.0, 0.0)
+        forward = _ordered_sum([np.exp(dk - shift) for dk in delta])
+        backward = _ordered_sum([np.exp(-shift - dk) for dk in delta])
+        beats, beaten = backward < forward, forward < backward
+        beaten[:, : b - a] = False
+        scores[a:b] += beats @ counts[a:]
+        scores[a:] += counts[a:b] @ beaten
+    return scores
 
 
 def reference_nondominated_mask(oriented: np.ndarray) -> np.ndarray:

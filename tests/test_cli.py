@@ -207,7 +207,9 @@ class TestMainRun:
         ("nsga2,random", ["--budget", "0"], "budget must be at least 1"),
         ("nsga2,flash", ["--lives", "0"], "lives must be at least 1"),
         ("flash,nsga2", ["--gens", "0"], "generations must be at least 1"),
-    ], ids=["budget", "lives", "gens"])
+        ("nsga2,flash", ["--init", "500"], "size0=500 exceeds pool of 200"),
+        ("flash,nsga2", ["--pop", "400"], "pop_size 400 exceeds pool of 200"),
+    ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool"])
     def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
                                              algo, flag, message):
         runs = []

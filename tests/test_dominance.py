@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+import threading
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from flashopt import dominance
+from flashopt.cli import build_problem
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.dominance import (
+    _PARALLEL_TILES,
     _TILE_ROWS,
     _class_wins,
     binary_dominates,
@@ -21,6 +26,7 @@ from flashopt.dominance import (
     nondominated_sort,
     oriented_matrix,
 )
+from flashopt.nsga2 import Nsga2Config, run_nsga2
 
 from conftest import (
     brute_binary_dominates,
@@ -28,6 +34,7 @@ from conftest import (
     brute_front_partition,
     brute_indicator_dominates,
     brute_indicator_m,
+    reference_class_scores,
     reference_class_wins,
     reference_nondominated_mask,
     reference_nondominated_sort,
@@ -423,3 +430,80 @@ class TestClassWins:
     def test_empty_gives_empty_matrix(self):
         wins = _class_wins(np.empty((0, 3)), schema_for(3))
         assert wins.shape == (0, 0) and wins.dtype == bool
+
+
+@st.composite
+def straddling_sets(draw):
+    """Six to nine tiles of distinct vectors, at least two per worker for up
+    to three workers, one to three copies each, rows shuffled. Column 0
+    spans more than 700 m over the first 1..48 vectors in np.unique's order
+    and at most 640 m over the rest, so the first tile needs the overflow
+    shift and the last skips it; the far vectors reach |delta| of 1,340,
+    past exp's overflow at 709."""
+    m = draw(st.integers(1, 4))
+    senses = draw(st.lists(st.sampled_from(Sense), min_size=m, max_size=m))
+    d = draw(st.integers(6, 9)) * _TILE_ROWS - draw(st.integers(0, _TILE_ROWS - 1))
+    far = draw(st.integers(1, 3 * _TILE_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = rng.uniform(0.0, 640.0 * m, (d, m))
+    keys[-1, 0] = 640.0 * m
+    keys[:far, 0] = rng.uniform(-700.0 * m, -61.0 * m, far)
+    y = rng.permutation(np.repeat(keys, rng.integers(1, 4, d), axis=0))
+    return y, ObjectiveSchema(tuple(f"o{i}" for i in range(m)), tuple(senses))
+
+
+class TestClassScores:
+    @given(straddling_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_any_worker_count_matches_the_reference(self, case):
+        y, schema = case
+        keys = np.unique(y, axis=0)
+        signed = keys * np.array(schema.weights)
+        spans = [np.ptp(signed[a:], axis=0) / len(schema)
+                 for a in range(0, len(keys), _TILE_ROWS)]
+        assert (spans[0] > 700).any() and (spans[-1] <= 700).all()
+        want = (reference_class_wins(y, schema) * 1).sum(axis=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, between array passes
+        try:
+            for workers in (1, 2, 3):
+                with patch.object(dominance, "_workers", lambda tiles: workers):
+                    assert np.array_equal(domination_scores(y, schema), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tree_scale_matches_the_reference(self):
+        # The benchmark's tree input: the 5,100-row NSGA-II run of
+        # monrp:50-4-5-4-90 at seed 5, 4,842 distinct vectors. Column 0
+        # spans 751 m, so the first tile takes the shift and 302 skip it.
+        problem = build_problem("monrp:50-4-5-4-90", 10_000, 5)
+        run = run_nsga2(problem, Nsga2Config(100, 50, seed=5))
+        y = np.array([ev.objectives.values for ev in run.evaluated])
+        schema = problem.schema
+        keys, inverse, counts = np.unique(
+            y, axis=0, return_inverse=True, return_counts=True
+        )
+        assert len(keys) == 4_842 and -(-len(keys) // _TILE_ROWS) >= _PARALLEL_TILES
+        want = reference_class_scores(keys, counts, schema)[inverse.reshape(-1)]
+        assert np.array_equal(domination_scores(y, schema), want)
+        for workers in (1, 3):
+            with patch.object(dominance, "_workers", lambda tiles: workers):
+                assert np.array_equal(domination_scores(y, schema), want)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, rng):
+        # Every worker thread fails as it asks for its first tile: the caller
+        # must see the exception once every thread has been joined.
+        tiles = dominance._win_tiles
+
+        def failing(keys, starts, buffers):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            yield from tiles(keys, starts, buffers)
+
+        monkeypatch.setattr(dominance, "_win_tiles", failing)
+        monkeypatch.setattr(dominance, "_workers", lambda tiles: 3)
+        y = matrix([[rng.random() for _ in range(3)] for _ in range(8 * _TILE_ROWS)])
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            domination_scores(y, schema_for(3))
+        assert threading.enumerate() == before

@@ -209,9 +209,9 @@ class TestWhatToEvaluateNext:
         seen = []
         tiles = dominance._win_tiles
 
-        def spy(keys, schema):
+        def spy(keys, starts, buffers):
             seen.append(len(keys))
-            return tiles(keys, schema)
+            return tiles(keys, starts, buffers)
 
         monkeypatch.setattr(dominance, "_win_tiles", spy)
         ids = random.Random(5).sample(range(100_000), 5_000)
