@@ -147,6 +147,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"size0={spec.size0} exceeds pool of {pool_n}")
     if "nsga2" in spec.algorithms and tabular and spec.pop > base.pool_size:
         raise ValueError(f"pop_size {spec.pop} exceeds pool of {base.pool_size}")
+    if "sway" in spec.algorithms and pool_n < 2:
+        raise ValueError("pool must hold at least 2 points")
     results: dict[tuple[int, str], RunResult] = {}
     walls: dict[tuple[int, str], float] = {}
 

@@ -136,8 +136,7 @@ def reference_class_scores(keys, counts, schema) -> np.ndarray:
     over the vectors j that vector i indicator-dominates, added as integers
     one 16-row tile at a time, every tile with the overflow shift."""
     m = len(schema)
-    signed = np.array(keys, dtype=float).reshape(len(keys), m)
-    signed = signed * np.array(schema.weights, dtype=float)
+    signed = np.asarray(keys, dtype=float) * np.array(schema.weights, dtype=float)
     d = signed.shape[0]
     cols = np.ascontiguousarray(signed.T)
     scores = np.zeros(d, dtype=counts.dtype)

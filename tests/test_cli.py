@@ -209,7 +209,9 @@ class TestMainRun:
         ("flash,nsga2", ["--gens", "0"], "generations must be at least 1"),
         ("nsga2,flash", ["--init", "500"], "size0=500 exceeds pool of 200"),
         ("flash,nsga2", ["--pop", "400"], "pop_size 400 exceeds pool of 200"),
-    ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool"])
+        ("nsga2,sway", ["--problem", "monrp:10-2-2-2-90", "--pool", "1"],
+         "pool must hold at least 2 points"),
+    ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool", "sway-pool"])
     def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
                                              algo, flag, message):
         runs = []
