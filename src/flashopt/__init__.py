@@ -25,7 +25,7 @@ from .dominance import (
     indicator_value,
     nondominated_sort,
 )
-from .cart import RegressionTree, fit_arrays, predict_many, tree_size
+from .cart import RegressionTree, fit_arrays, predict_many
 from .flash import FlashConfig, run_flash, what_to_evaluate_next
 from .sway import SwayConfig, project, run_sway, two_distant_points
 from .nsga2 import Nsga2Config, crowding_distance, run_nsga2

@@ -19,6 +19,10 @@ node's total is the row sum of its n targets in ascending row order,
 which is numpy's own sum of that node's targets, and its prediction is
 total / n; every prefix sum and gain is the float a node-at-a-time
 search would compute, so the tree is the same node for node.
+
+A fitted tree is six parallel node arrays, as in scikit-learn's tree_
+(Pedregosa et al., JMLR 2011), its nodes numbered in the order they are
+made: the root is node 0, and each split appends its left, then right child.
 """
 
 from __future__ import annotations
@@ -36,31 +40,20 @@ _GAIN_EPS = 1e-12
 _LEFT, _RIGHT, _DONE = 0, 1, 2
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/left/right set) or leaf (prediction).
-
-    Rows with feature value <= threshold go left, the rest go right.
-    n is the number of training samples that reached the node.
-    """
-
-    n: int
-    prediction: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    root: TreeNode
+    """A fitted tree as parallel node arrays, node 0 the root. Node k
+    sends rows with feature[k] <= threshold[k] to left[k], the rest to
+    right[k]; it is a leaf where left[k] < 0 (feature -1, threshold NaN).
+    n[k] training rows reached it and prediction[k] is their mean target."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n: np.ndarray
+    prediction: np.ndarray
     feature_count: int
-    sample_count: int
 
 
 def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
@@ -79,33 +72,35 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
 
     n_rows, f = x.shape
     span = np.arange(n_rows)
-    root = TreeNode(n=n_rows, prediction=0.0)
+    # The node arrays, numbered in the order the nodes are made; size is
+    # n, and the other five catch up with it as each level starts.
+    feature, threshold, left, right, size, prediction = [], [], [], [], [n_rows], []
     # The frontier: its nodes, and their rows as one segment per node, in
     # ascending order in `rows`. `ords` holds each segment sorted by each
     # feature, and `xs` and `ys` the decisions and targets in that order.
-    nodes = [root]
+    nodes = [0]
     rows = span
     ords = np.argsort(x.T, axis=1, kind="stable")
     xs = np.take_along_axis(x.T, ords, axis=1)
     ys = y[ords]
     side = np.empty(n_rows, dtype=np.int8)
     while True:
+        for a, v in zip((feature, threshold, left, right, prediction), (-1, np.nan, -1, -1, 0.0)):
+            a += [v] * (len(size) - len(a))
         side[rows] = _DONE
         batches: dict[int, tuple[list[int], list[int]]] = {}
         start = 0
         for s, node in enumerate(nodes):
-            segs, starts = batches.setdefault(node.n, ([], []))
+            segs, starts = batches.setdefault(size[node], ([], []))
             segs.append(s)
             starts.append(start)
-            start += node.n
-        lefts: list[TreeNode | None] = [None] * len(nodes)
-        rights: list[TreeNode | None] = [None] * len(nodes)
+            start += size[node]
         for n, (segs, starts) in batches.items():
             cols = np.add.outer(starts, span[:n])
             ysub = y[rows[cols]]
             total = ysub.sum(axis=1)
             for s, mean in zip(segs, (total / n).tolist()):
-                nodes[s].prediction = mean
+                prediction[nodes[s]] = mean
             if n == 1 or f == 0:  # no candidate split
                 continue
             live = np.flatnonzero((ysub != ysub[:, :1]).any(axis=1))
@@ -114,30 +109,29 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
                     continue
                 segs = [segs[k] for k in live.tolist()]
                 cols, ysub, total = cols[live], ysub[live], total[live]
-            feature, pos, thresholds = _best_splits(xs[:, cols], ys[:, cols], ysub, total)
+            feats, pos, thresholds = _best_splits(xs[:, cols], ys[:, cols], ysub, total)
             # The first pos + 1 rows in the chosen feature's order go left.
-            side[ords[feature[:, None], cols]] = span[:n] > pos[:, None]
+            side[ords[feats[:, None], cols]] = span[:n] > pos[:, None]
             stay = []
             for k, (s, feat, p, thr) in enumerate(
-                zip(segs, feature.tolist(), pos.tolist(), thresholds)
+                zip(segs, feats.tolist(), pos.tolist(), thresholds)
             ):
                 if thr is None:
                     stay.append(k)
                     continue
                 node = nodes[s]
-                node.feature = feat
-                node.threshold = thr
-                node.left = lefts[s] = TreeNode(n=p + 1, prediction=0.0)
-                node.right = rights[s] = TreeNode(n=n - p - 1, prediction=0.0)
+                feature[node], threshold[node] = feat, thr
+                left[node], right[node] = len(size), len(size) + 1
+                size += [p + 1, n - p - 1]
             if stay:
                 side[rows[cols[stay]]] = _DONE
-        split = [s for s, child in enumerate(lefts) if child is not None]
+        split = [node for node in nodes if left[node] >= 0]
         if not split:
             break
         # Children in parent order: every left child, then every right
         # child. Each feature row holds the same rows, so the flat indices
         # of either side reshape to (f, rows), in each segment's order.
-        nodes = [lefts[s] for s in split] + [rights[s] for s in split]
+        nodes = [left[node] for node in split] + [right[node] for node in split]
         on = side[ords]
         take = np.concatenate(
             [np.flatnonzero(on == to).reshape(f, -1) for to in (_LEFT, _RIGHT)], axis=1
@@ -145,7 +139,8 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
         ords, xs, ys = (a.ravel()[take] for a in (ords, xs, ys))
         on = side[rows]
         rows = np.concatenate([rows[on == to] for to in (_LEFT, _RIGHT)])
-    return RegressionTree(root=root, feature_count=f, sample_count=n_rows)
+    arrays = (np.array(a) for a in (feature, threshold, left, right, size, prediction))
+    return RegressionTree(*arrays, feature_count=f)
 
 
 def _best_splits(xs, ys, ysub, total):
@@ -210,30 +205,17 @@ def predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != tree.feature_count:
         raise ValueError("x must be n-by-feature_count")
+    feature, threshold, left, right, prediction = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.prediction)
+    )
     out = np.empty(x.shape[0], dtype=float)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(x.shape[0]))]
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if node.is_leaf:
-            out[rows] = node.prediction
+        if left[node] < 0:
+            out[rows] = prediction[node]
             continue
-        mask = x[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        mask = x[rows, feature[node]] <= threshold[node]
+        stack.append((left[node], rows[mask]))
+        stack.append((right[node], rows[~mask]))
     return out
-
-
-def tree_size(tree: RegressionTree) -> tuple[int, int]:
-    """(total node count, leaf count); always nodes = 2 * leaves - 1."""
-    nodes = 0
-    leaves = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if node.is_leaf:
-            leaves += 1
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return nodes, leaves

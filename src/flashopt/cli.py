@@ -265,7 +265,10 @@ def _cmd_tree(args) -> int:
     if not dump.exists():
         raise FileNotFoundError(f"no stored run at {dump}")
     problem = load_tabular(dump)
-    dt = build_domination_tree(problem.x, problem.y, problem.schema, problem.decision_names)
+    try:
+        dt = build_domination_tree(problem.x, problem.y, problem.schema, problem.decision_names)
+    except ValueError as exc:  # name the dump, as the loader's errors do
+        raise ValueError(f"{dump}: {exc}") from None
     print(render(dt))
     nodes, leaves = tree_stats(dt)
     print(f"nodes={nodes} leaves={leaves}")

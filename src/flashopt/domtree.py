@@ -5,6 +5,9 @@ indicator-dominates; a regression tree fitted over the decision columns
 with those scores as targets then describes which decisions lead to
 strong regions. The rendering is an indented text listing with the branch
 to the highest-scoring leaf highlighted.
+
+The tree is cart's parallel node arrays. The best path and the rendering
+both read it in one preorder walk over node numbers, left before right.
 """
 
 from __future__ import annotations
@@ -52,30 +55,34 @@ def build_domination_tree(
     )
 
 
-def _best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
-    """Path to the leaf with the highest mean score; ties stay leftmost.
-
-    One walk, left before right, so the first maximum is the leftmost.
-    Each visited node links back to its parent's link in O(1), and only
-    the winner's chain of links is turned into steps.
-    """
-    best_pred = None
-    best_link = None
-    # A link is (parent node, direction taken, the parent's own link).
-    stack: list[tuple[cart.TreeNode, tuple | None]] = [(tree.root, None)]
+def _preorder(left: list[int], right: list[int]) -> list[tuple[int, int]]:
+    """Every node with its parent (-1 at the root), left subtree before right,
+    off an explicit stack: deep trees would blow Python's recursion limit."""
+    order = []
+    stack = [(0, -1)]
     while stack:
-        node, link = stack.pop()
-        if node.is_leaf:
-            if best_pred is None or node.prediction > best_pred:
-                best_pred = node.prediction
-                best_link = link
-            continue
-        stack.append((node.right, (node, ">", link)))
-        stack.append((node.left, (node, "<=", link)))
+        node, parent = stack.pop()
+        order.append((node, parent))
+        if left[node] >= 0:
+            stack.append((right[node], node))
+            stack.append((left[node], node))
+    return order
+
+
+def _best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
+    """Path to the leaf with the highest mean score; ties stay leftmost,
+    the first maximum of the preorder walk."""
+    feature, threshold, left, prediction = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.prediction)
+    )
+    walk = _preorder(left, tree.right.tolist())
+    parent = dict(walk)
+    best = max((node for node, _ in walk if left[node] < 0), key=prediction.__getitem__)
     steps: list[PathStep] = []
-    while best_link is not None:
-        node, direction, best_link = best_link
-        steps.append(PathStep(node.feature, direction, node.threshold))
+    while parent[best] >= 0:
+        up = parent[best]
+        steps.append(PathStep(feature[up], "<=" if left[up] == best else ">", threshold[up]))
+        best = up
     return tuple(reversed(steps))
 
 
@@ -92,42 +99,29 @@ def render(dt: DominationTree) -> str:
     followed by that side's subtree one level deeper; leaves print their
     mean score in parentheses.
     """
+    tree = dt.tree
+    feature, threshold, left, right, prediction = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.prediction)
+    )
+    node, on_path = 0, {0}
+    for step in dt.best_path:
+        node = (left if step.direction == "<=" else right)[node]
+        on_path.add(node)
     lines: list[str] = []
-
-    def mark(text: str, on_path: bool) -> str:
-        return f"**{text}**" if on_path else text
-
-    # Explicit stack; deep unbalanced trees would blow Python's recursion limit.
-    stack: list[tuple] = [("visit", dt.tree.root, 0, dt.best_path, True)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "line":
-            lines.append(item[1])
-            continue
-        _, node, depth, remaining, on_path = item
-        prefix = "|    " * depth
-        if node.is_leaf:
-            lines.append(prefix + mark(f"({_fmt_score(node.prediction)})", on_path))
-            continue
-        step = remaining[0] if (on_path and remaining) else None
-        name = dt.decision_names[node.feature]
-        for direction, child in ((">", node.right), ("<=", node.left)):
-            child_on_path = step is not None and step.direction == direction
-            stack.append(
-                (
-                    "visit",
-                    child,
-                    depth + 1,
-                    remaining[1:] if child_on_path else (),
-                    child_on_path,
-                )
-            )
-            stack.append(
-                ("line", prefix + mark(f"{name}{direction}{node.threshold:g}", child_on_path))
-            )
+    depth = [0] * len(left)
+    # Each non-root node is reached through its parent's line for its side.
+    for node, parent in _preorder(left, right):
+        mark = "**" if node in on_path else ""
+        if parent >= 0:
+            depth[node] = depth[parent] + 1
+            side = "<=" if left[parent] == node else ">"
+            branch = f"{dt.decision_names[feature[parent]]}{side}{threshold[parent]:g}"
+            lines.append(f"{'|    ' * depth[parent]}{mark}{branch}{mark}")
+        if left[node] < 0:
+            lines.append(f"{'|    ' * depth[node]}{mark}({_fmt_score(prediction[node])}){mark}")
     return "\n".join(lines)
 
 
 def tree_stats(dt: DominationTree) -> tuple[int, int]:
     """(nodes, leaves) of the fitted tree."""
-    return cart.tree_size(dt.tree)
+    return len(dt.tree.left), int(np.count_nonzero(dt.tree.left < 0))

@@ -20,25 +20,22 @@ from .core import Pool, Problem, RunResult, min_max_scale
 from .dominance import _class_wins, front0
 
 
-class DegenerateItems(ValueError):
-    """All items coincide in decision space; no poles exist."""
-
-
 @dataclass(frozen=True)
 class SwayConfig:
     seed: int = 0
 
 
-def two_distant_points(x: np.ndarray, ids: np.ndarray, seed: int) -> tuple[int, int]:
+def two_distant_points(x: np.ndarray, ids: np.ndarray, seed: int) -> tuple[int, int] | None:
     """FastMap pole heuristic over the decision rows x, with ids ids:
     farthest from a seeded random anchor, then farthest from that.
     Distances are Euclidean over min-max normalized decision columns; ties
-    go to the lowest id. Returns the rows of the two poles."""
+    go to the lowest id. Returns the rows of the two poles, or None when
+    every row coincides in decision space."""
     if len(x) < 2:
         raise ValueError("need at least 2 items to pick poles")
     lo, hi = x.min(axis=0), x.max(axis=0)
     if np.all(hi == lo):
-        raise DegenerateItems("all items identical in decision space")
+        return None
     normed = min_max_scale(x, lo, hi)
     anchor = random.Random(seed).randrange(len(x))
 
@@ -97,11 +94,11 @@ def run_sway(problem: Problem, pool: Pool, config: SwayConfig) -> RunResult:
             return
         node_seed = rng.randrange(2**32)
         x = pool.x[rows]
-        try:
-            west, east = two_distant_points(x, pool.ids[rows], node_seed)
-        except DegenerateItems:
+        pair = two_distant_points(x, pool.ids[rows], node_seed)
+        if pair is None:
             measure(rows)
             return
+        west, east = pair
         poles = np.array([eval_pole(int(rows[west])), eval_pole(int(rows[east]))])
         wins = _class_wins(poles, schema)
         go_west, go_east = bool(wins[0, 1]), bool(wins[1, 0])

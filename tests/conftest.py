@@ -19,8 +19,12 @@ reference_evaluate_plan are the earlier one-plan-at-a-time MONRP sampler,
 drawing from a random.Random call by call, the earlier MONRP repair, and
 the earlier per-plan objective loop; each takes or gives one release
 list. reference_fit is the earlier node-at-a-time CART fit, one argsort
-and split search per node off a stack, and reference_best_path the
-earlier best-path walk that copies a path tuple per node.
+and split search per node off a stack, returning the root of a RefNode
+graph, the earlier linked form of a tree; node_graph builds that graph
+from a fitted tree's node arrays. reference_predict, reference_best_path
+and reference_render walk it: the earlier predict_many, the earlier
+best-path walk that copies a path tuple per node, and the earlier
+stack-of-pending-lines render.
 reference_load_tabular is the earlier line-by-line table loader, which
 built one tuple per row and checked every cell on its own.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,7 @@ from flashopt.core import (
     min_max_scale,
     read_utf8,
 )
-from flashopt.domtree import PathStep
+from flashopt.domtree import DominationTree, PathStep
 from flashopt.monrp import MonrpInstance
 
 
@@ -418,12 +423,49 @@ def reference_evaluate_plan(inst: MonrpInstance, plan: list[int]) -> tuple[float
     return (f1, f2, f3)
 
 
-def reference_fit(x, y) -> cart.RegressionTree:
+@dataclass
+class RefNode:
+    """A tree node as the earlier linked CART stored it: an internal node
+    (feature/threshold/left/right set) or a leaf. Rows with feature value
+    <= threshold go left; n training rows reached the node."""
+
+    n: int
+    prediction: float
+    feature: int | None = None
+    threshold: float | None = None
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def node_graph(tree: cart.RegressionTree) -> RefNode:
+    """The linked node graph of a fitted tree's node arrays; returns the root."""
+    nodes = [
+        RefNode(n=n, prediction=p)
+        for n, p in zip(tree.n.tolist(), tree.prediction.tolist())
+    ]
+    for k, node in enumerate(nodes):
+        if tree.left[k] >= 0:
+            node.feature = int(tree.feature[k])
+            node.threshold = float(tree.threshold[k])
+            node.left = nodes[tree.left[k]]
+            node.right = nodes[tree.right[k]]
+    return nodes[0]
+
+
+def _root(tree) -> RefNode:
+    return node_graph(tree) if isinstance(tree, cart.RegressionTree) else tree
+
+
+def reference_fit(x, y) -> RefNode:
     """CART grown one node at a time off a stack: each node argsorts its
-    own rows and searches its own (n - 1, f) gain matrix."""
+    own rows and searches its own (n - 1, f) gain matrix. Returns the root."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    root = cart.TreeNode(n=int(y.size), prediction=float(y.mean()))
+    root = RefNode(n=int(y.size), prediction=float(y.mean()))
     stack = [(root, np.arange(y.size))]
     while stack:
         node, idx = stack.pop()
@@ -436,11 +478,11 @@ def reference_fit(x, y) -> cart.RegressionTree:
         right_idx = idx[~left_mask]
         node.feature = feature
         node.threshold = threshold
-        node.left = cart.TreeNode(n=int(left_idx.size), prediction=float(y[left_idx].mean()))
-        node.right = cart.TreeNode(n=int(right_idx.size), prediction=float(y[right_idx].mean()))
+        node.left = RefNode(n=int(left_idx.size), prediction=float(y[left_idx].mean()))
+        node.right = RefNode(n=int(right_idx.size), prediction=float(y[right_idx].mean()))
         stack.append((node.left, left_idx))
         stack.append((node.right, right_idx))
-    return cart.RegressionTree(root=root, feature_count=x.shape[1], sample_count=int(y.size))
+    return root
 
 
 def _reference_best_split(x, y, idx):
@@ -487,11 +529,12 @@ def _reference_best_split(x, y, idx):
     return int(feature), float(threshold)
 
 
-def tree_nodes(tree: cart.RegressionTree) -> list[tuple]:
+def tree_nodes(tree) -> list[tuple]:
     """Every node's (n, prediction, feature, threshold) in preorder, left
-    before right: two trees are identical node for node iff these match."""
+    before right, of a fitted tree or a reference root node: two trees are
+    identical node for node iff these match. Leaves give None, None."""
     out = []
-    stack = [tree.root]
+    stack = [_root(tree)]
     while stack:
         node = stack.pop()
         out.append((node.n, node.prediction, node.feature, node.threshold))
@@ -501,12 +544,28 @@ def tree_nodes(tree: cart.RegressionTree) -> list[tuple]:
     return out
 
 
+def reference_predict(tree: cart.RegressionTree, x) -> np.ndarray:
+    """The earlier predict_many: every row routed over the linked nodes."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[0], dtype=float)
+    stack = [(node_graph(tree), np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.prediction
+            continue
+        mask = x[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+    return out
+
+
 def reference_best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
     """Path to the leftmost leaf with the highest mean, from a walk that
     carries a whole path tuple per node."""
     best_pred = None
     best: tuple[PathStep, ...] = ()
-    stack = [(tree.root, ())]
+    stack = [(node_graph(tree), ())]
     ordered = []
     while stack:
         node, path = stack.pop()
@@ -520,6 +579,41 @@ def reference_best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
             best_pred = pred
             best = path
     return best
+
+
+def reference_render(dt: DominationTree) -> str:
+    """The earlier render: an explicit stack of pending lines and visits
+    over the linked nodes, following dt.best_path from the root."""
+    lines: list[str] = []
+
+    def mark(text: str, on_path: bool) -> str:
+        return f"**{text}**" if on_path else text
+
+    def fmt_score(v: float) -> str:
+        return str(int(v)) if float(v).is_integer() else f"{v:.1f}"
+
+    stack: list[tuple] = [("visit", node_graph(dt.tree), 0, dt.best_path, True)]
+    while stack:
+        item = stack.pop()
+        if item[0] == "line":
+            lines.append(item[1])
+            continue
+        _, node, depth, remaining, on_path = item
+        prefix = "|    " * depth
+        if node.is_leaf:
+            lines.append(prefix + mark(f"({fmt_score(node.prediction)})", on_path))
+            continue
+        step = remaining[0] if (on_path and remaining) else None
+        name = dt.decision_names[node.feature]
+        for direction, child in ((">", node.right), ("<=", node.left)):
+            child_on_path = step is not None and step.direction == direction
+            stack.append(
+                ("visit", child, depth + 1, remaining[1:] if child_on_path else (), child_on_path)
+            )
+            stack.append(
+                ("line", prefix + mark(f"{name}{direction}{node.threshold:g}", child_on_path))
+            )
+    return "\n".join(lines)
 
 
 def reference_load_tabular(path: str | Path) -> Problem:

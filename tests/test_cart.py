@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashopt.cart import fit_arrays, predict_many, tree_size
+from flashopt.cart import fit_arrays, predict_many
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.dominance import domination_scores
 
@@ -23,39 +23,53 @@ def random_data(rng, n, f):
     return x, np.array([rng.random() for _ in range(n)])
 
 
+def node_and_leaf_counts(tree):
+    return len(tree.left), int(np.count_nonzero(tree.left < 0))
+
+
+def leaf_of(tree, row):
+    """Route one row down the node arrays; return its leaf's node number."""
+    node = 0
+    while tree.left[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
+
+
 class TestFit:
     def test_constant_targets_single_leaf(self):
         tree = fit_arrays(np.arange(6.0).reshape(6, 1), np.full(6, 5.0))
-        assert tree.root.is_leaf
-        assert tree.root.prediction == 5.0
-        assert tree_size(tree) == (1, 1)
+        assert tree.left.tolist() == [-1] and tree.right.tolist() == [-1]
+        assert tree.prediction.tolist() == [5.0]
+        assert tree.n.tolist() == [6]
+        assert node_and_leaf_counts(tree) == (1, 1)
 
     def test_step_data_splits_at_midpoint(self):
         tree = fit_arrays(*four_row_example())
-        assert not tree.root.is_leaf
-        assert tree.root.feature == 0
-        assert tree.root.threshold == 1.5
-        assert tree.root.left.is_leaf and tree.root.left.prediction == 0.0
-        assert tree.root.right.is_leaf and tree.root.right.prediction == 10.0
-        assert tree_size(tree) == (3, 2)
+        # The root is node 0; its split makes node 1 (left), then node 2.
+        assert tree.left.tolist() == [1, -1, -1]
+        assert tree.right.tolist() == [2, -1, -1]
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 1.5
+        assert tree.prediction.tolist() == [5.0, 0.0, 10.0]
+        assert tree.n.tolist() == [4, 2, 2]
+        assert node_and_leaf_counts(tree) == (3, 2)
 
     def test_node_count_bound(self):
         rng = random.Random(4)
         for _ in range(10):
             k = rng.randint(1, 40)
-            nodes, leaves = tree_size(fit_arrays(*random_data(rng, k, 2)))
+            nodes, leaves = node_and_leaf_counts(fit_arrays(*random_data(rng, k, 2)))
             assert leaves <= k
             assert nodes == 2 * leaves - 1
 
     def test_child_sample_counts_sum(self):
         rng = random.Random(9)
         tree = fit_arrays(*random_data(rng, 50, 1))
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                assert node.left.n + node.right.n == node.n
-                stack.extend([node.left, node.right])
+        inner = np.flatnonzero(tree.left >= 0)
+        assert inner.size > 1
+        assert (tree.n[tree.left[inner]] + tree.n[tree.right[inner]] == tree.n[inner]).all()
+        assert tree.n[0] == 50
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -71,18 +85,8 @@ class TestFit:
         y = np.array([rng.random() for _ in range(60)])
         a = fit_arrays(x, y)
         b = fit_arrays(x, y)
-
-        def spine(node):
-            if node.is_leaf:
-                return ("leaf", node.prediction, node.n)
-            return (
-                node.feature,
-                node.threshold,
-                spine(node.left),
-                spine(node.right),
-            )
-
-        assert spine(a.root) == spine(b.root)
+        for name in ("feature", "threshold", "left", "right", "n", "prediction"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
 class TestTrainingError:
@@ -116,15 +120,11 @@ class TestPredict:
 
     def test_predict_many_matches_scalar(self):
         # Reference: route one row at a time down the tree.
-        def walk(node, row):
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.prediction
-
         rng = random.Random(3)
         tree = fit_arrays(*random_data(rng, 40, 2))
         probes = np.array([[rng.random(), rng.random()] for _ in range(100)])
-        assert predict_many(tree, probes).tolist() == [walk(tree.root, r) for r in probes]
+        want = [tree.prediction[leaf_of(tree, r)] for r in probes]
+        assert predict_many(tree, probes).tolist() == want
 
 
 def naive_root_split(rows):
@@ -167,8 +167,8 @@ class TestAgainstNaiveReference:
             want = naive_root_split(rows)
             if want is None:
                 continue  # reference found no clearly positive gain
-            assert not tree.root.is_leaf
-            assert (tree.root.feature, tree.root.threshold) == want
+            assert tree.left[0] >= 0
+            assert (int(tree.feature[0]), float(tree.threshold[0])) == want
 
 
 class TestFitArrays:
@@ -205,14 +205,11 @@ class TestFitProperties:
         tree = fit_arrays(x, y)
         reached = {}
         for k, row in enumerate(x):
-            node = tree.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            reached.setdefault(id(node), (node, []))[1].append(k)
-        for node, members in reached.values():
-            assert node.n == len(members)
-            assert node.prediction == float(y[members].mean())
-        nodes, leaves = tree_size(tree)
+            reached.setdefault(leaf_of(tree, row), []).append(k)
+        for node, members in reached.items():
+            assert tree.n[node] == len(members)
+            assert tree.prediction[node] == float(y[members].mean())
+        nodes, leaves = node_and_leaf_counts(tree)
         assert leaves == len(reached)
         assert nodes == 2 * leaves - 1
 

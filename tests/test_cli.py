@@ -280,6 +280,16 @@ class TestMainRun:
         leaves = int(stats_line.split()[1].split("=")[1])
         assert nodes == 2 * leaves - 1
 
+    def test_tree_of_a_one_row_run_names_the_dump(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--problem", "synth:step", "--pool", "50", "--algo", "random",
+                "--budget", "1", "--repeats", "1", "--out", "one/results.csv"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["tree", "--in", "one", "--run-id", "0", "--algo", "random"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: one/runs/run0_random.csv: need at least 2 evaluated points\n"
+
     def test_unknown_algorithm_exits_nonzero(self, tmp_path, capsys):
         code = main(
             [

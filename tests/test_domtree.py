@@ -3,11 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashopt import cart
 from flashopt.core import ObjectiveSchema, Sense, load_tabular
 from flashopt.dominance import domination_scores
-from flashopt.domtree import _best_path, build_domination_tree, render, tree_stats
+from flashopt.domtree import (
+    DominationTree,
+    _best_path,
+    build_domination_tree,
+    render,
+    tree_stats,
+)
 from flashopt.flash import FlashConfig, run_flash
 from flashopt.nsga2 import Nsga2Config, run_nsga2
 from flashopt.synth import make_synthetic
@@ -16,6 +24,8 @@ from conftest import (
     brute_domination_scores,
     reference_best_path,
     reference_fit,
+    reference_predict,
+    reference_render,
     senses_of,
     tree_nodes,
     whole_pool,
@@ -74,12 +84,13 @@ class TestBuildDominationTree:
         dt = build_domination_tree(x, y, min2, ["x"])
         scores = brute_domination_scores(vectors, senses_of(min2))
         assert scores == [3, 2, 1, 0]
+        tree = dt.tree
         for row, want in zip(x, scores):
-            node = dt.tree.root
-            while not node.is_leaf:
-                value = row[node.feature]
-                node = node.left if value <= node.threshold else node.right
-            assert node.prediction == want
+            node = 0
+            while tree.left[node] >= 0:
+                value = row[tree.feature[node]]
+                node = tree.left[node] if value <= tree.threshold[node] else tree.right[node]
+            assert tree.prediction[node] == want
 
     def test_too_few_points_rejected(self, min2):
         with pytest.raises(ValueError):
@@ -88,19 +99,15 @@ class TestBuildDominationTree:
     def test_best_path_reaches_max_leaf_mean(self, min2):
         x, y = indexed([(i, i) for i in range(8)])
         dt = build_domination_tree(x, y, min2, ["x"])
-        leaf_means = []
-        stack = [dt.tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaf_means.append(node.prediction)
-            else:
-                stack.extend([node.left, node.right])
-        node = dt.tree.root
+        tree = dt.tree
+        leaf_means = tree.prediction[tree.left < 0]
+        assert leaf_means.size > 1
+        node = 0
         for step in dt.best_path:
-            node = node.left if step.direction == "<=" else node.right
-        assert node.is_leaf
-        assert node.prediction == max(leaf_means)
+            assert (step.feature, step.threshold) == (tree.feature[node], tree.threshold[node])
+            node = tree.left[node] if step.direction == "<=" else tree.right[node]
+        assert tree.left[node] < 0
+        assert tree.prediction[node] == leaf_means.max()
 
 
 class TestAgainstReferences:
@@ -113,9 +120,10 @@ class TestAgainstReferences:
             problem = load_tabular(dump)
             x = problem.x
             targets = domination_scores(problem.y, problem.schema).astype(float)
-            tree = cart.fit_arrays(x, targets)
-            assert tree_nodes(tree) == tree_nodes(reference_fit(x, targets)), dump.name
-            assert _best_path(tree) == reference_best_path(tree), dump.name
+            dt = build_domination_tree(x, problem.y, problem.schema, problem.decision_names)
+            assert tree_nodes(dt.tree) == tree_nodes(reference_fit(x, targets)), dump.name
+            assert dt.best_path == reference_best_path(dt.tree), dump.name
+            assert render(dt) == reference_render(dt), dump.name
 
     def test_large_tree_best_path(self):
         gen = np.random.default_rng(3)
@@ -126,6 +134,54 @@ class TestAgainstReferences:
         assert tree_stats(dt)[0] > 1000
         assert len(dt.best_path) > 5
         assert dt.best_path == reference_best_path(dt.tree)
+
+
+GRID = [0.0, 0.5, 1.0, 2.0, 7.5]  # few distinct values, so ties are common
+ROOT_LEAF = (np.array([[0.0], [1.0], [2.0]]), np.full(3, 4.0))
+# Each target's size outweighs the rest, so every split peels off the last
+# row: a chain eleven splits deep, its best leaf (-1) at the bottom.
+CHAIN = (np.arange(12.0)[:, None], -(4.0 ** np.arange(12)))
+# Leaves 5, 0, 5, 0 from left to right: two best leaves tie.
+TIED = (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([5.0, 0.0, 5.0, 0.0]))
+
+
+@st.composite
+def small_fits(draw):
+    """Grid decisions with small integer targets: many tied leaf means."""
+    f = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    rows = st.lists(st.sampled_from(GRID), min_size=f, max_size=f)
+    x = draw(st.lists(rows, min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return np.array(x), np.array(y, dtype=float)
+
+
+class TestNodeArraysMatchLinkedReferences:
+    def test_named_cases_have_their_shapes(self):
+        for (x, y), nodes in ((ROOT_LEAF, 1), (CHAIN, 23), (TIED, 7)):
+            assert len(cart.fit_arrays(x, y).left) == nodes
+        chain = cart.fit_arrays(*CHAIN)
+        assert len(_best_path(chain)) == 11
+        tied = cart.fit_arrays(*TIED)
+        assert np.count_nonzero(tied.prediction[tied.left < 0] == 5.0) == 2
+
+    @given(small_fits())
+    @example(ROOT_LEAF)
+    @example(CHAIN)
+    @example(TIED)
+    @settings(max_examples=150, deadline=None)
+    def test_walks_over_arrays(self, case):
+        x, y = case
+        tree = cart.fit_arrays(x, y)
+        dt = DominationTree(tree, tuple(f"d{i}" for i in range(x.shape[1])), _best_path(tree))
+        assert dt.best_path == reference_best_path(tree)
+        assert render(dt) == reference_render(dt)
+        # Probes on the grid and a quarter step up, where thresholds sit.
+        probes = np.vstack([x, x + 0.25])
+        assert cart.predict_many(tree, probes).tolist() == reference_predict(tree, probes).tolist()
+        nodes = tree_nodes(tree)
+        leaves = sum(1 for _, _, feature, _ in nodes if feature is None)
+        assert tree_stats(dt) == (len(nodes), leaves)
 
 
 class TestRender:

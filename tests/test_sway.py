@@ -59,9 +59,12 @@ class TestTwoDistantPoints:
             poles = two_distant_points(x, np.array([9, 5, 4, 7]), seed)
             assert set(poles) == {1, 2}
 
-    def test_identical_items_raise(self):
-        with pytest.raises(ValueError):
-            two_distant_points(np.tile([1.0, 2.0], (5, 1)), np.arange(5), 0)
+    def test_identical_items_have_no_poles(self):
+        assert two_distant_points(np.tile([1.0, 2.0], (5, 1)), np.arange(5), 0) is None
+
+    def test_one_item_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            two_distant_points(np.array([[1.0, 2.0]]), np.arange(1), 0)
 
 
 class TestRunSway:
@@ -88,6 +91,18 @@ class TestRunSway:
         # Two root poles, neither wins, then every pool member is measured
         # at the leaf (poles are measured again there).
         assert res.evals == n + 2
+
+    def test_coinciding_decisions_measure_the_whole_pool(self):
+        # Every decision row is the same, so the root has no poles: the
+        # whole pool is measured once, as one leaf, with no pole evaluations.
+        n = 9
+        schema = ObjectiveSchema(("f1", "f2"), (Sense.MIN, Sense.MIN))
+        prob = Problem.tabular("same", ("a", "b"), schema, [(0.5, 3.0)] * n, [(1.0, 2.0)] * n)
+        pool = whole_pool(prob)
+        assert two_distant_points(pool.x, pool.ids, 0) is None
+        res = run_sway(prob, pool, SwayConfig(seed=2))
+        assert res.evals == n
+        assert [e.id for e in res.evaluated] == list(range(n))
 
     def test_gradient_consistent_pool_stays_cheap(self):
         prob = make_synthetic("line", 4096)
