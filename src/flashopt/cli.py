@@ -149,6 +149,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"pop_size {spec.pop} exceeds pool of {base.pool_size}")
     if "sway" in spec.algorithms and pool_n < 2:
         raise ValueError("pool must hold at least 2 points")
+    if tabular and "random" in spec.algorithms and "flash" not in spec.algorithms:
+        if spec.budget > base.pool_size:  # random samples the whole table
+            raise ValueError(f"budget {spec.budget} exceeds pool of {base.pool_size}")
     results: dict[tuple[int, str], RunResult] = {}
     walls: dict[tuple[int, str], float] = {}
 

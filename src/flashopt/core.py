@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -134,42 +134,29 @@ class LoadError(ValueError):
     """Raised when a tabular problem file is malformed."""
 
 
+@dataclass(eq=False, kw_only=True)
 class Problem:
     """An evaluable search space with an evaluation counter.
 
     TABULAR problems hold n pre-measured rows, decisions x (n, d) and
     objectives y (n, m); evaluating a row twice returns identical
-    objectives while still counting both. GENERATIVE problems sample fresh
-    decision rows and compute objectives on demand.
+    objectives while still counting both. GENERATIVE problems (x is None)
+    sample fresh decision rows with sampler(rng, n), compute objectives
+    with evaluator and fix rows with repairer, each on a block of rows; a
+    sampler leaves rng where n one-row draws would. gene_values holds each
+    gene's valid values for mutation, None on a table.
     """
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        decision_names: Sequence[str],
-        schema: ObjectiveSchema,
-        kind: ProblemKind,
-        x: np.ndarray | None = None,
-        y: np.ndarray | None = None,
-        sampler: Callable[[random.Random, int], np.ndarray] | None = None,
-        evaluator: Callable[[np.ndarray], np.ndarray] | None = None,
-        repairer: Callable[[np.ndarray], np.ndarray] | None = None,
-        gene_values: Sequence[Sequence[float]] | None = None,
-    ):
-        self.name = name
-        self.decision_names = tuple(decision_names)
-        self.schema = schema
-        self.kind = kind
-        self.eval_count = 0
-        self.x = x
-        self.y = y
-        self._sampler = sampler
-        self._evaluator = evaluator
-        self._repairer = repairer
-        self._gene_values = (
-            tuple(tuple(vs) for vs in gene_values) if gene_values is not None else None
-        )
+    name: str
+    decision_names: Sequence[str]
+    schema: ObjectiveSchema
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    sampler: Callable[[random.Random, int], np.ndarray] | None = None
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+    repairer: Callable[[np.ndarray], np.ndarray] | None = None
+    gene_values: Sequence[Sequence[float]] | None = None
+    eval_count: int = field(default=0, init=False)
 
     @classmethod
     def tabular(
@@ -194,36 +181,11 @@ class Problem:
         finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
         if not finite.all():
             raise ValueError(f"{name}: non-finite value in row {int(np.argmin(finite))}")
-        return cls(
-            name=name,
-            decision_names=decision_names,
-            schema=schema,
-            kind=ProblemKind.TABULAR,
-            x=x,
-            y=y,
-        )
+        return cls(name=name, decision_names=tuple(decision_names), schema=schema, x=x, y=y)
 
-    @classmethod
-    def generative(
-        cls,
-        name: str,
-        decision_names: Sequence[str],
-        schema: ObjectiveSchema,
-        sampler: Callable[[random.Random, int], np.ndarray],
-        evaluator: Callable[[np.ndarray], np.ndarray],
-        repairer: Callable[[np.ndarray], np.ndarray] | None = None,
-        gene_values: Sequence[Sequence[float]] | None = None,
-    ) -> "Problem":
-        return cls(
-            name=name,
-            decision_names=decision_names,
-            schema=schema,
-            kind=ProblemKind.GENERATIVE,
-            sampler=sampler,
-            evaluator=evaluator,
-            repairer=repairer,
-            gene_values=gene_values,
-        )
+    @property
+    def kind(self) -> ProblemKind:
+        return ProblemKind.GENERATIVE if self.x is None else ProblemKind.TABULAR
 
     @property
     def decision_arity(self) -> int:
@@ -235,20 +197,9 @@ class Problem:
             raise ValueError(f"{self.name}: generative problems have no fixed pool")
         return len(self.x)
 
-    def gene_values(self) -> tuple[tuple[float, ...], ...]:
-        """Per-gene valid value sets, used by mutation operators."""
-        if self._gene_values is not None:
-            return self._gene_values
-        if self.kind is ProblemKind.TABULAR:
-            self._gene_values = tuple(tuple(sorted(set(col.tolist()))) for col in self.x.T)
-            return self._gene_values
-        raise ValueError(f"{self.name}: no gene value sets available")
-
     def repair(self, x: np.ndarray) -> np.ndarray:
         """The repaired (k, d) block of decision rows x."""
-        if self._repairer is None:
-            return x
-        return self._repairer(x)
+        return x if self.repairer is None else self.repairer(x)
 
     def evaluate(self, ids, x) -> np.ndarray:
         """Measure the decision rows x, with pool ids ids; return their
@@ -267,7 +218,7 @@ class Problem:
                 raise ValueError(f"{self.name}: rows do not match the table at their ids")
             y = self.y[ids]
         else:
-            y = np.asarray(self._evaluator(x), dtype=float)
+            y = np.asarray(self.evaluator(x), dtype=float)
             if y.shape != (len(ids), len(self.schema)):
                 raise ValueError(f"{self.name}: evaluator returned a {y.shape} block")
             finite = np.isfinite(y).all(axis=1)
@@ -277,14 +228,6 @@ class Problem:
                 )
         self.eval_count += len(ids)
         return y
-
-    def sample_decisions(self, rng: random.Random, n: int) -> np.ndarray:
-        """Draw n fresh valid decision rows (GENERATIVE only), as an (n, d)
-        matrix. A sampler leaves rng where n one-row draws would, so
-        callers may keep drawing from it."""
-        if self._sampler is None:
-            raise ValueError(f"{self.name}: tabular problems sample rows, not vectors")
-        return self._sampler(rng, n)
 
     def sample_pool(self, n: int, seed: int) -> Pool:
         """Seeded pool of n rows: drawn without replacement from a TABULAR
@@ -300,14 +243,11 @@ class Problem:
                 )
             ids = np.array(rng.sample(range(len(self.x)), n))
             return Pool(ids, self.x[ids])
-        return Pool(np.arange(n), self._sampler(rng, n))
+        return Pool(np.arange(n), self.sampler(rng, n))
 
     def fresh(self) -> "Problem":
         """A clone with a zeroed evaluation counter, sharing the data."""
-        clone = Problem.__new__(Problem)
-        clone.__dict__.update(self.__dict__)
-        clone.eval_count = 0
-        return clone
+        return replace(self)  # eval_count is not an init field, so it starts at 0
 
 
 def read_utf8(path: str | Path) -> str:

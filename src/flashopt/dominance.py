@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -232,7 +233,13 @@ def _class_scores(keys, counts: np.ndarray, schema: ObjectiveSchema) -> np.ndarr
             np.copyto(flags, beaten)
             scores[a:] += weights[a:b] @ flags
 
-    _run_shares(share, workers)
+    if workers == 1:
+        share(0)
+    else:  # share(0) here; numpy releases the GIL inside each array pass
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = pool.map(share, range(1, workers))
+            share(0)
+            list(rest)  # raises a worker's exception; the with joins the pool
     for part in parts[1:]:
         parts[0] += part
     return parts[0].astype(counts.dtype)
@@ -248,31 +255,6 @@ def _workers(tiles: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, tiles)
-
-
-def _run_shares(share, workers: int) -> None:
-    """share(0) on this thread and share(1..workers-1) on threads of their
-    own; numpy releases the GIL inside each array pass. Every thread is
-    joined before this returns or raises, and a worker's exception is
-    raised here."""
-    errors: list[BaseException] = []
-
-    def guarded(w: int) -> None:
-        try:
-            share(w)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        share(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _class_wins(keys, schema: ObjectiveSchema) -> np.ndarray:

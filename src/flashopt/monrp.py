@@ -381,12 +381,12 @@ def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
         return np.array([repair_plan(inst, row) for row in x.astype(int).tolist()], dtype=float)
 
     levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every gene
-    return Problem.generative(
-        name,
-        [f"r{i}" for i in range(inst.N)],
-        monrp_schema(),
-        sampler,
-        evaluator,
+    return Problem(
+        name=name,
+        decision_names=tuple(f"r{i}" for i in range(inst.N)),
+        schema=monrp_schema(),
+        sampler=sampler,
+        evaluator=evaluator,
         repairer=repairer,
         gene_values=[levels] * inst.N,
     )

@@ -104,7 +104,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     rng = random.Random(config.seed)
     arity = problem.decision_arity
     p_mut = 1.0 / arity
-    gene_values = problem.gene_values()
+    gene_values = problem.gene_values or [sorted(set(col.tolist())) for col in problem.x.T]
     pop = config.pop_size
     total = pop * (config.generations + 1)
     ids = np.arange(total)
@@ -120,7 +120,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         ids[:pop] = start
         x[:pop] = problem.x[start]
     else:
-        x[:pop] = problem.sample_decisions(rng, pop)
+        x[:pop] = problem.sampler(rng, pop)
     y[:pop] = problem.evaluate(ids[:pop], x[:pop])
 
     population = np.arange(pop)

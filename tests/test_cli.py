@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flashopt import cli
@@ -10,7 +11,10 @@ from flashopt.cli import (
 )
 from flashopt.core import Problem
 from flashopt.dominance import front0
+from flashopt.metrics import gd, igd
 from flashopt.synth import make_synthetic
+
+from conftest import brute_binary_dominates
 
 
 def small_table(tmp_path, rows=100):
@@ -95,6 +99,20 @@ class TestRunExperiment:
         by_key = {(r.run, r.algo): r for r in result.rows}
         for run in (0, 1):
             assert by_key[(run, "random")].evals == by_key[(run, "flash")].evals
+        # The reference front pools every run's best points: each best point
+        # is on it or binary-dominated by it, and it holds nothing else.
+        schema = build_problem(spec.problem, spec.pool, spec.seed).schema
+        senses = [s.value for s in schema.senses]
+        ref = result.ref.points
+        bests = {key: [ev.objectives.values for ev in res.best]
+                 for key, res in result.results.items()}
+        for key, points in bests.items():
+            for p in points:
+                assert p in ref or any(brute_binary_dominates(q, p, senses) for q in ref), key
+            y_best = np.array(points)
+            assert by_key[key].gd == gd(y_best, result.ref, schema)
+            assert by_key[key].igd == igd(y_best, result.ref, schema)
+        assert set(ref) <= {p for points in bests.values() for p in points}
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -211,7 +229,9 @@ class TestMainRun:
         ("flash,nsga2", ["--pop", "400"], "pop_size 400 exceeds pool of 200"),
         ("nsga2,sway", ["--problem", "monrp:10-2-2-2-90", "--pool", "1"],
          "pool must hold at least 2 points"),
-    ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool", "sway-pool"])
+        ("nsga2,random", ["--budget", "500"], "budget 500 exceeds pool of 200"),
+    ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool", "sway-pool",
+            "budget-over-pool"])
     def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
                                              algo, flag, message):
         runs = []

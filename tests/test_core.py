@@ -256,23 +256,35 @@ class TestEvaluate:
 
     def test_generative_non_finite_objective_rejected(self):
         schema = ObjectiveSchema(("f",), (Sense.MIN,))
-        prob = Problem.generative(
-            "bad",
-            ("x",),
-            schema,
+        prob = Problem(
+            name="bad",
+            decision_names=("x",),
+            schema=schema,
             sampler=lambda rng, n: np.array([(rng.random(),) for _ in range(n)]),
             evaluator=lambda x: np.where(x > 0.4, np.inf, 1.0),
         )
         with pytest.raises(ValueError, match="non-finite objective for id 7"):
             prob.evaluate([3, 7], [(0.25,), (0.5,)])
 
-    def test_fresh_resets_counter_only(self, tmp_path):
-        prob = load_tabular(write(tmp_path, SMALL))
-        prob.evaluate([0], prob.x[[0]])
+    @pytest.mark.parametrize("kind", [ProblemKind.TABULAR, ProblemKind.GENERATIVE],
+                             ids=["tabular", "generative"])
+    def test_fresh_resets_counter_only(self, tmp_path, kind):
+        if kind is ProblemKind.TABULAR:
+            prob = load_tabular(write(tmp_path, SMALL))
+        else:
+            prob = as_problem(generate(20, 3, 4, 10, 90, seed=11))
+        assert prob.kind is kind
+        first = prob.sample_pool(1, seed=0)
+        prob.evaluate(first.ids, first.x)
         clone = prob.fresh()
+        assert clone.kind is kind
         assert clone.eval_count == 0
         assert prob.eval_count == 1
-        assert clone.x is prob.x and clone.y is prob.y
+        for name in ("x", "y", "sampler", "evaluator", "repairer", "gene_values"):
+            assert getattr(clone, name) is getattr(prob, name), name
+        if kind is ProblemKind.GENERATIVE:
+            with pytest.raises(ValueError, match="no fixed pool"):
+                clone.pool_size
 
 
 def table_of(n):
