@@ -18,7 +18,9 @@ calls are paid per batch, not per node. Blocks are never padded. A
 node's total is the row sum of its n targets in ascending row order,
 which is numpy's own sum of that node's targets, and its prediction is
 total / n; every prefix sum and gain is the float a node-at-a-time
-search would compute, so the tree is the same node for node.
+search would compute, so the tree is the same node for node. Gains are
+computed only where the sorted feature value changes, the one place a
+split can fall.
 
 A fitted tree is six parallel node arrays, as in scikit-learn's tree_
 (Pedregosa et al., JMLR 2011), its nodes numbered in the order they are
@@ -148,44 +150,56 @@ def _best_splits(xs, ys, ysub, total):
     hold each node's decisions and targets sorted by each feature, ysub
     (B, n) its targets in ascending row order and total (B,) their sums.
 
-    Gains for every (feature, position) candidate land in one (f, B, n-1)
-    array, and a feature-major argmax per node keeps the tie-break order
-    of lowest feature, then lowest threshold. Returns each node's feature
-    and split position pos (rows 0..pos of the sorted feature go left),
-    and a list of thresholds, None where the best gain is within
-    _GAIN_EPS of nothing.
+    A split can only fall between two distinct values, so gains are
+    computed at those candidate positions only: from the full prefix sums,
+    with the same operations, so each is the float a gain over every
+    position would be. They are laid into a (B, f, n-1) array of -inf, and
+    a feature-major argmax per node keeps the tie-break order of lowest
+    feature, then lowest threshold. Returns each node's feature and split
+    position pos (rows 0..pos of the sorted feature go left), and a list of
+    thresholds, None where the node has no candidate or its best gain is
+    within _GAIN_EPS of nothing.
     """
     f, b, n = xs.shape
     total_sq = (ysub * ysub).sum(axis=1)
     parent_sse = total_sq - total * total / n
 
-    ys = ys[:, :, :-1]
-    sl = np.cumsum(ys, axis=2)
-    ql = np.cumsum(ys * ys, axis=2)
-    nl = np.arange(1.0, n)
+    # (B, n, f) views: a block gathered as xs[:, cols] is laid out in that
+    # order, so ravel() then copies nothing.
+    xt = xs.transpose(1, 2, 0)
+    yt = ys.transpose(1, 2, 0)[:, :-1]
+    sl = np.cumsum(yt, axis=1).ravel()
+    ql = np.cumsum(yt * yt, axis=1).ravel()
+    # The candidates, as flat indices into (B, n-1, f).
+    c = np.flatnonzero(xt[:, 1:] != xt[:, :-1])
+    node, at = np.divmod(c, (n - 1) * f)
+    pos, feat = np.divmod(at, f)
+    nl = pos + 1.0
     nr = float(n) - nl
     # gain = parent_sse - ((ql - sl*sl/nl) + (qr - sr*sr/nr)), operation
-    # for operation, but in place: the top levels' blocks take megabytes,
-    # and every fresh temporary of that size is paged in anew.
+    # for operation as over the whole block.
+    sl = sl[c]
+    ql = ql[c]
     gain = sl * sl
     gain /= nl
     np.subtract(ql, gain, out=gain)
-    sr = np.subtract(total[:, None], sl, out=sl)
+    sr = np.subtract(total[node], sl, out=sl)
     sr *= sr
     sr /= nr
-    qr = np.subtract(total_sq[:, None], ql, out=ql)
+    qr = np.subtract(total_sq[node], ql, out=ql)
     np.subtract(qr, sr, out=sr)
     gain += sr
-    np.subtract(parent_sse[:, None], gain, out=gain)
-    # Split only between distinct values.
-    np.putmask(gain, xs[:, :, 1:] == xs[:, :, :-1], -np.inf)
+    np.subtract(parent_sse[node], gain, out=gain)
+    # Each node's gains feature-major, -inf where no split can fall.
+    gains = np.full((b, f, n - 1), -np.inf)
+    gains[node, feat, pos] = gain
 
-    k = gain.transpose(1, 0, 2).reshape(b, -1).argmax(axis=1)
+    k = gains.reshape(b, -1).argmax(axis=1)
     feature, pos = np.divmod(k, n - 1)
     node = np.arange(b)
     thresholds = []
     for best, sse, lo, hi in zip(
-        gain[feature, node, pos].tolist(),
+        gains[node, feature, pos].tolist(),
         parent_sse.tolist(),
         xs[feature, node, pos].tolist(),
         xs[feature, node, pos + 1].tolist(),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -270,6 +271,11 @@ def load_tabular(path: str | Path) -> Problem:
     prefixed '-' (minimize) or '+' (maximize). All cells finite numbers. Row
     order defines point ids 0..n-1. Lines end at CR, LF or CR LF only, as
     in csv. The first fault in line order is reported with its path:line.
+
+    A clean table, whose data lines hold only the characters in _CLEAN, is
+    parsed in one numpy call; any other table, and any clean one that numpy
+    cannot read as finite cells of the header's width, goes through the
+    line loop, which alone words the path:line messages.
     """
     path = Path(path)
     lines = read_utf8(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -308,30 +314,34 @@ def load_tabular(path: str | Path) -> Problem:
     schema = ObjectiveSchema(tuple(obj_names), tuple(senses))
 
     width = len(header)
-    rows: list[list[float]] = []
+    table = _clean_table(lines[1:], width)
     fault: LoadError | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            fault = LoadError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
-            break
-        try:
-            rows.append([float(c.strip()) for c in cells])
-        except ValueError:
-            fault = _bad_cell(path, lineno, cells)
-            break
-    table = np.array(rows).reshape(len(rows), width)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        fault = _bad_cell(path, k + 2, lines[k + 1].split(","))
-        table = table[:k]
-    # A duplicate before the first bad line is the first fault. np.unique
-    # groups rows by float equality (0.0 == -0.0), and with return_index
-    # its sort is stable, so first holds the earliest row of each group.
+    if table is None:
+        rows: list[list[float]] = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != width:
+                fault = LoadError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+                break
+            try:
+                rows.append([float(c.strip()) for c in cells])
+            except ValueError:
+                fault = _bad_cell(path, lineno, cells)
+                break
+        table = np.array(rows).reshape(len(rows), width)
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            fault = _bad_cell(path, k + 2, lines[k + 1].split(","))
+            table = table[:k]
+    # A duplicate before the first bad line is the first fault. Rows are
+    # grouped by their bytes once + 0.0 has made every -0.0 a +0.0: on
+    # finite cells, equal bytes then mean equal floats. With return_index
+    # np.unique sorts stably, so first holds the earliest row of each group.
     x, y = table[:, decision_idx], table[:, objective_idx]
-    _, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
-    owner = first[group.reshape(-1)]
+    keys = np.ascontiguousarray(x + 0.0).view(np.dtype((np.void, x.itemsize * x.shape[1])))
+    _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    owner = first[group]
     conflicts = np.flatnonzero((y != y[owner]).any(axis=1))
     if len(conflicts):
         k = conflicts[0]
@@ -340,9 +350,32 @@ def load_tabular(path: str | Path) -> Problem:
         )
     if fault is not None:
         raise fault
-    if not rows:
+    if not len(table):
         raise LoadError(f"{path}: no data rows")
     return Problem.tabular(path.stem, decision_names, schema, x, y)
+
+
+# What a clean data line may hold: characters that float() and numpy's
+# parser read alike. Underscores, non-ASCII digits, tabs, the \x1c-\x1f
+# controls that str.strip() removes and the letters of inf and nan are out.
+_CLEAN = b"0123456789+-.eE, "
+
+
+def _clean_table(lines: list[str], width: int) -> np.ndarray | None:
+    """The data lines as one (len(lines), width) array, parsed in one numpy
+    call, or None unless every line is clean and every cell finite."""
+    if not lines or "\n".join(lines).encode("utf-8").translate(None, _CLEAN + b"\n"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    # loadtxt skips blank lines, which the loop reports as short.
+    if table.shape != (len(lines), width) or not np.isfinite(table).all():
+        return None
+    return table
 
 
 def _bad_cell(path: Path, lineno: int, cells: list[str]) -> LoadError:

@@ -104,6 +104,8 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     rng = random.Random(config.seed)
     arity = problem.decision_arity
     p_mut = 1.0 / arity
+    if problem.gene_values is None and problem.x is None:
+        raise ValueError(f"{problem.name}: no gene value sets available")
     gene_values = problem.gene_values or [sorted(set(col.tolist())) for col in problem.x.T]
     pop = config.pop_size
     total = pop * (config.generations + 1)

@@ -25,6 +25,9 @@ from a fitted tree's node arrays. reference_predict, reference_best_path
 and reference_render walk it: the earlier predict_many, the earlier
 best-path walk that copies a path tuple per node, and the earlier
 stack-of-pending-lines render.
+reference_best_splits is the earlier batched split search, which
+computed a gain at every (feature, node, position) of a block and masked
+the positions between equal values.
 reference_load_tabular is the earlier line-by-line table loader, which
 built one tuple per row and checked every cell on its own.
 """
@@ -527,6 +530,51 @@ def _reference_best_split(x, y, idx):
     if threshold >= hi:
         threshold = lo
     return int(feature), float(threshold)
+
+
+def reference_best_splits(xs, ys, ysub, total):
+    """The earlier cart._best_splits: gains for every (feature, node,
+    position) of the (f, B, n) block in one (f, B, n-1) array, -inf
+    between equal values, and a feature-major argmax per node."""
+    f, b, n = xs.shape
+    total_sq = (ysub * ysub).sum(axis=1)
+    parent_sse = total_sq - total * total / n
+
+    ys = ys[:, :, :-1]
+    sl = np.cumsum(ys, axis=2)
+    ql = np.cumsum(ys * ys, axis=2)
+    nl = np.arange(1.0, n)
+    nr = float(n) - nl
+    gain = sl * sl
+    gain /= nl
+    np.subtract(ql, gain, out=gain)
+    sr = np.subtract(total[:, None], sl, out=sl)
+    sr *= sr
+    sr /= nr
+    qr = np.subtract(total_sq[:, None], ql, out=ql)
+    np.subtract(qr, sr, out=sr)
+    gain += sr
+    np.subtract(parent_sse[:, None], gain, out=gain)
+    np.putmask(gain, xs[:, :, 1:] == xs[:, :, :-1], -np.inf)
+
+    k = gain.transpose(1, 0, 2).reshape(b, -1).argmax(axis=1)
+    feature, pos = np.divmod(k, n - 1)
+    node = np.arange(b)
+    thresholds = []
+    for best, sse, lo, hi in zip(
+        gain[feature, node, pos].tolist(),
+        parent_sse.tolist(),
+        xs[feature, node, pos].tolist(),
+        xs[feature, node, pos + 1].tolist(),
+    ):
+        if best <= cart._GAIN_EPS * max(1.0, sse):
+            thresholds.append(None)
+            continue
+        threshold = 0.5 * (lo + hi)
+        if threshold >= hi:
+            threshold = lo
+        thresholds.append(threshold)
+    return feature, pos, thresholds
 
 
 def tree_nodes(tree) -> list[tuple]:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashopt import cart
 from flashopt.cart import fit_arrays, predict_many
 from flashopt.core import ObjectiveSchema, Sense
 from flashopt.dominance import domination_scores
 
-from conftest import reference_fit, tree_nodes
+from conftest import reference_best_splits, reference_fit, tree_nodes
 
 
 def four_row_example():
@@ -279,3 +280,62 @@ class TestFitMatchesReference:
         got = tree_nodes(fit_arrays(x, y))
         assert got == tree_nodes(reference_fit(x, y))
         assert len(got) > 1000
+
+    @pytest.mark.parametrize("targets", ["scores", "real"])
+    def test_duplicate_decision_rows(self, targets):
+        # Each decision row four times over with its own targets: many nodes
+        # end with one decision row and unequal targets, and no candidate.
+        gen = np.random.default_rng(23)
+        x = np.repeat(gen.integers(0, 3, size=(60, 4)).astype(float), 4, axis=0)
+        if targets == "scores":
+            y = gen.integers(0, 5, size=240).astype(float)
+        else:
+            y = gen.normal(size=240)
+        tree = fit_arrays(x, y)
+        assert tree_nodes(tree) == tree_nodes(reference_fit(x, y))
+        assert (tree.n[tree.left < 0] > 1).any()
+
+
+@st.composite
+def split_blocks(draw):
+    """The arguments of one split search, as fit_arrays gathers them: B
+    nodes of n rows, each node's decisions and targets sorted by each
+    feature, ties in row order. A column may copy column 0 (ties across
+    features) or be constant, a node may repeat one decision row with
+    unequal targets (no candidate), and targets are small integers (tied
+    gains) or reals."""
+    f, b, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    rows = b * n
+    x = np.array(draw(st.lists(st.sampled_from(GRID), min_size=rows * f, max_size=rows * f)))
+    x = x.reshape(rows, f)
+    for j in range(1, f):
+        kind = draw(st.sampled_from(["free", "copy", "constant"]))
+        if kind == "copy":
+            x[:, j] = x[:, 0]
+        elif kind == "constant":
+            x[:, j] = GRID[j]
+    for node in range(b):
+        if draw(st.integers(0, 3)) == 0:
+            x[node * n:(node + 1) * n] = x[node * n]
+    target = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(-1e3, 1e3)
+    y = np.array(draw(st.lists(target, min_size=rows, max_size=rows)))
+    ords = np.concatenate(
+        [np.argsort(x[k:k + n].T, axis=1, kind="stable") + k for k in range(0, rows, n)], axis=1
+    )
+    xs, ys = np.take_along_axis(x.T, ords, axis=1), y[ords]
+    cols = np.add.outer(np.arange(0, rows, n), np.arange(n))
+    ysub = y[cols]
+    return xs[:, cols], ys[:, cols], ysub, ysub.sum(axis=1)
+
+
+class TestBestSplitsMatchReference:
+    @given(split_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_features_positions_and_thresholds(self, block):
+        want = reference_best_splits(*block)
+        # As fit_arrays lays the block out, and as one C-ordered array.
+        for args in (block, [np.ascontiguousarray(a) for a in block]):
+            feature, pos, thresholds = cart._best_splits(*args)
+            assert feature.tolist() == want[0].tolist()
+            assert pos.tolist() == want[1].tolist()
+            assert thresholds == want[2]

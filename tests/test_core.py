@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashopt import core
 from flashopt.core import (
     LoadError,
     ObjectiveSchema,
@@ -154,8 +155,12 @@ FAULTS = {
 }
 
 
+PADS = ["", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+VALUES = ["0", "1", "-0", "1.5", "2", "1e0", "1_0", "+2"]
+
+
 @st.composite
-def tables(draw):
+def tables(draw, pads=PADS, values=VALUES):
     """A table of 1-3 decision and 1-2 objective columns in any order, whose
     cells come from a few values, so that decision rows repeat with equal or
     conflicting objectives, padded with whitespace that both str.strip()
@@ -165,8 +170,8 @@ def tables(draw):
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     names = [f"d{j}" for j in range(d)] + [draw(st.sampled_from("-+")) + f"o{j}" for j in range(m)]
     names = draw(st.permutations(names))
-    pad = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
-    value = st.sampled_from(["0", "1", "-0", "1.5", "2", "1e0", "1_0", "+2"])
+    pad = st.sampled_from(pads)
+    value = st.sampled_from(values)
     cell = st.builds(lambda a, v, b: a + v + b, pad, value, pad)
     n = draw(st.integers(0, 14))
     lines = [",".join(draw(st.lists(cell, min_size=len(names), max_size=len(names))))
@@ -205,6 +210,51 @@ class TestLoaderAgainstReference:
         path = tmp_path_factory.getbasetemp() / "generated.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert loaded(load_tabular, path) == loaded(reference_load_tabular, path)
+
+    @given(tables(pads=["", " "], values=[v for v in VALUES if v != "1_0"]))
+    @settings(max_examples=200, deadline=None)
+    def test_clean_tables_same_problem_or_same_first_fault(self, tmp_path_factory, text):
+        # Every unspoiled table here takes the one-call numpy parse.
+        path = tmp_path_factory.getbasetemp() / "clean.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert loaded(load_tabular, path) == loaded(reference_load_tabular, path)
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", "\u0661", "\x1c1", "1\x1d", "\x1e1\x1f", "inf", "nan", "1e999", "1e-999",
+        "+.5", "5.", "--1", "007", "1.e5", "e5", "1e", ".", "+",
+    ])
+    def test_cells_at_the_edge_of_the_clean_characters(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,-y\n1,2,3\n{cell},1,4\n5,6,7\n")
+        assert loaded(load_tabular, path) == loaded(reference_load_tabular, path)
+
+    @pytest.mark.parametrize("text", [
+        "a,-y\n1,2\n\n3,4\n",
+        "a,-y\n1,2\n   \n3,4\n",
+        "a,-y\n1,2\n1,2,\n",
+        "a,-y\n1,2\n1,,\n",
+        "a,-y\n1 2,3\n",
+        "a,-y\n-0,2\n0,3\n",
+        "a,-y\n-0,2\n0,2\n",
+        "a,-y\n7,2\n",
+        "a,-y\n7,2\n \n \n",
+    ], ids=["blank", "spaces", "long", "empty-cells", "inner-space", "signed-zero-conflict",
+            "signed-zero-copy", "one-row", "trailing-spaces"])
+    def test_line_shapes_at_the_edge_of_the_numpy_parse(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert loaded(load_tabular, path) == loaded(reference_load_tabular, path)
+
+    def test_large_clean_table_parses_in_one_call(self, tmp_path):
+        gen = np.random.default_rng(19)
+        x = gen.integers(0, 5, size=(5000, 8)).astype(float)
+        x[:, 0] = np.arange(5000)  # no decision row repeats
+        y = np.round(gen.normal(size=(5000, 3)) * 1e3, 3)
+        names = [f"d{j}" for j in range(8)] + ["-a", "+b", "-c"]
+        lines = [",".join(repr(v) for v in row) for row in np.hstack([x, y]).tolist()]
+        assert core._clean_table(lines, 11) is not None
+        path = write(tmp_path, "\n".join([",".join(names)] + lines) + "\n")
+        got, want = load_tabular(path), reference_load_tabular(path)
+        assert got.x.tobytes() == want.x.tobytes() == x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("first, second", itertools.permutations(sorted(FAULTS), 2))
     def test_first_fault_in_line_order_wins(self, tmp_path, first, second):

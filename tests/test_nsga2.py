@@ -104,6 +104,19 @@ class TestRunNsga2:
         with pytest.raises(ValueError):
             Nsga2Config(generations=0)
 
+    def test_generative_problem_needs_gene_values(self):
+        sampled = []
+        prob = Problem(
+            name="g",
+            decision_names=("x",),
+            schema=ObjectiveSchema(("f",), (Sense.MIN,)),
+            sampler=lambda rng, n: sampled.append(n) or np.zeros((n, 1)),
+            evaluator=lambda x: x.copy(),
+        )
+        with pytest.raises(ValueError, match="g: no gene value sets available"):
+            run_nsga2(prob, Nsga2Config(4, 1, seed=0))
+        assert sampled == [] and prob.eval_count == 0
+
     def test_one_sort_per_generation(self, monkeypatch):
         calls = []
         real = nsga2.nondominated_sort
