@@ -170,9 +170,10 @@ def _best_splits(xs, ys, ysub, total):
     yt = ys.transpose(1, 2, 0)[:, :-1]
     sl = np.cumsum(yt, axis=1).ravel()
     ql = np.cumsum(yt * yt, axis=1).ravel()
-    # The candidates, as flat indices into (B, n-1, f).
+    # The candidates, as flat indices into (B, n-1, f); a lone node's
+    # indices need no node part.
     c = np.flatnonzero(xt[:, 1:] != xt[:, :-1])
-    node, at = np.divmod(c, (n - 1) * f)
+    node, at = np.divmod(c, (n - 1) * f) if b > 1 else (0, c)
     pos, feat = np.divmod(at, f)
     nl = pos + 1.0
     nr = float(n) - nl
