@@ -27,7 +27,7 @@ from .dominance import (
 )
 from .cart import RegressionTree, fit_arrays, predict_many
 from .flash import FlashConfig, run_flash, what_to_evaluate_next
-from .sway import SwayConfig, project, run_sway, two_distant_points
+from .sway import project, run_sway, two_distant_points
 from .nsga2 import Nsga2Config, crowding_distance, run_nsga2
 from .monrp import MonrpInstance, evaluate_plan, generate, is_feasible
 from .metrics import ReferenceFront, gd, igd, reference_front

@@ -19,7 +19,7 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import median
 
@@ -42,11 +42,10 @@ from .monrp import as_problem, generate
 from .nsga2 import Nsga2Config, run_nsga2
 from .domtree import build_domination_tree, render, tree_stats
 from .stats import scott_knott
-from .sway import SwayConfig, run_sway
+from .sway import run_sway
 from .synth import SYNTHETICS, make_synthetic
 
 ALGORITHMS = ("flash", "sway", "nsga2", "random")
-DEFAULT_RANDOM_BUDGET = 100
 
 
 @dataclass
@@ -57,11 +56,11 @@ class ExperimentSpec:
     seed: int = 1
     pool: int = 10_000
     out: Path | None = None
-    lives: int = 10
-    size0: int = 20
-    pop: int = 100
-    generations: int = 50
-    budget: int = DEFAULT_RANDOM_BUDGET  # random-search fallback when flash is absent
+    lives: int = FlashConfig.lives
+    size0: int = FlashConfig.size0
+    pop: int = Nsga2Config.pop_size
+    generations: int = Nsga2Config.generations
+    budget: int = 100  # random-search fallback when flash is absent
     timings: bool = False
 
     def __post_init__(self):
@@ -101,15 +100,12 @@ class ExperimentResult:
     rows: list[ResultRow]
     results: dict[tuple[int, str], RunResult]
     ref: ReferenceFront
-    problem_name: str
     rows_text: str = ""
     run_dumps: dict[tuple[int, str], str] = field(default_factory=dict)
 
 
 def run_random(problem: Problem, budget: int, seed: int) -> RunResult:
     """Budget-matched control: evaluate `budget` uniform pool samples."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     pool = problem.sample_pool(budget, seed)
     y = problem.evaluate(pool.ids, pool.x)
     return RunResult.from_rows(pool.ids, pool.x, y, front0(y, problem.schema))
@@ -174,16 +170,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 )
                 flash_evals = result.evals
             elif algo == "sway":
-                result = run_sway(problem, pool, SwayConfig(seed=seed_r))
+                result = run_sway(problem, pool, seed_r)
             elif algo == "nsga2":
                 result = run_nsga2(
                     problem, Nsga2Config(spec.pop, spec.generations, seed=seed_r)
                 )
-            elif algo == "random":
+            else:  # random; spec validation rejects unknown names
                 budget = flash_evals if flash_evals is not None else spec.budget
                 result = run_random(problem, budget, seed_r)
-            else:  # pragma: no cover - spec validation rejects this earlier
-                raise ValueError(f"unknown algorithm {algo!r}")
             walls[(r, algo)] = (time.perf_counter() - started) * 1000.0
             results[(r, algo)] = result
 
@@ -204,7 +198,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             )
         )
 
-    out = ExperimentResult(rows=rows, results=results, ref=ref, problem_name=base.name)
+    out = ExperimentResult(rows=rows, results=results, ref=ref)
     out.rows_text = _results_csv(rows)
     for key, res in sorted(results.items()):
         out.run_dumps[key] = _dump_csv(base, res)
@@ -244,20 +238,9 @@ def _dump_csv(problem: Problem, result: RunResult) -> str:
 
 
 def _cmd_run(args) -> int:
-    spec = ExperimentSpec(
-        problem=args.problem,
-        algorithms=[a.strip() for a in args.algo.split(",") if a.strip()],
-        repeats=args.repeats,
-        seed=args.seed,
-        pool=args.pool,
-        out=Path(args.out),
-        lives=args.lives,
-        size0=args.init,
-        pop=args.pop,
-        generations=args.gens,
-        budget=args.budget,
-        timings=args.timings,
-    )
+    # The run parser suppresses its defaults: an option left out keeps the spec's.
+    spec = ExperimentSpec(**{f.name: getattr(args, f.name)
+                             for f in fields(ExperimentSpec) if hasattr(args, f.name)})
     result = run_experiment(spec)
     print(f"wrote {len(result.rows)} rows to {spec.out}")
     return 0
@@ -332,19 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run optimizers with the repeat protocol")
+    run_p = sub.add_parser("run", help="run optimizers with the repeat protocol",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--problem", required=True,
                        help=f"file path, monrp:N-P-M-dep-funding, or synth:{'|'.join(sorted(SYNTHETICS))}")
-    run_p.add_argument("--algo", required=True, help="comma-separated algorithm names")
-    run_p.add_argument("--repeats", type=int, default=20)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--pool", type=int, default=10_000)
-    run_p.add_argument("--out", required=True, help="results CSV path")
-    run_p.add_argument("--lives", type=int, default=10)
-    run_p.add_argument("--init", type=int, default=20, help="initial sample size")
-    run_p.add_argument("--pop", type=int, default=100)
-    run_p.add_argument("--gens", type=int, default=50)
-    run_p.add_argument("--budget", type=int, default=DEFAULT_RANDOM_BUDGET,
+    run_p.add_argument("--algo", required=True, dest="algorithms", metavar="ALGO",
+                       type=lambda s: [a.strip() for a in s.split(",") if a.strip()],
+                       help="comma-separated algorithm names")
+    run_p.add_argument("--repeats", type=int)
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--pool", type=int)
+    run_p.add_argument("--out", required=True, type=Path, help="results CSV path")
+    run_p.add_argument("--lives", type=int)
+    run_p.add_argument("--init", type=int, dest="size0", metavar="INIT",
+                       help="initial sample size")
+    run_p.add_argument("--pop", type=int)
+    run_p.add_argument("--gens", type=int, dest="generations", metavar="GENS")
+    run_p.add_argument("--budget", type=int,
                        help="random-search budget when flash is not in --algo")
     run_p.add_argument("--timings", action="store_true",
                        help="write measured wall_ms (breaks byte-reproducibility)")

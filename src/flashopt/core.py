@@ -198,10 +198,6 @@ class Problem:
             raise ValueError(f"{self.name}: generative problems have no fixed pool")
         return len(self.x)
 
-    def repair(self, x: np.ndarray) -> np.ndarray:
-        """The repaired (k, d) block of decision rows x."""
-        return x if self.repairer is None else self.repairer(x)
-
     def evaluate(self, ids, x) -> np.ndarray:
         """Measure the decision rows x, with pool ids ids; return their
         (k, m) objective block. Adds k to the evaluation counter."""
@@ -324,16 +320,14 @@ def load_tabular(path: str | Path) -> Problem:
                 fault = LoadError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
                 break
             try:
-                rows.append([float(c.strip()) for c in cells])
+                row = [float(c.strip()) for c in cells]
             except ValueError:
+                row = [math.nan]  # _bad_cell names the cell
+            if not all(map(math.isfinite, row)):
                 fault = _bad_cell(path, lineno, cells)
                 break
+            rows.append(row)
         table = np.array(rows).reshape(len(rows), width)
-        finite = np.isfinite(table).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            fault = _bad_cell(path, k + 2, lines[k + 1].split(","))
-            table = table[:k]
     # A duplicate before the first bad line is the first fault. Rows are
     # grouped by their bytes once + 0.0 has made every -0.0 a +0.0: on
     # finite cells, equal bytes then mean equal floats. With return_index

@@ -55,25 +55,15 @@ def _pair(x, y, schema: ObjectiveSchema) -> tuple[tuple[float, ...], tuple[float
         raise ValueError(
             f"objective length mismatch: {len(xs)}, {len(ys)} vs schema {len(schema)}"
         )
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError(f"non-finite objective value in {xs} vs {ys}")
     return xs, ys
 
 
 def binary_dominates(x, y, schema: ObjectiveSchema) -> bool:
-    """True iff x is no worse than y everywhere and strictly better somewhere."""
-    xs, ys = _pair(x, y, schema)
-    strictly_better = False
-    for xv, yv, sense in zip(xs, ys, schema.senses):
-        if sense is Sense.MIN:
-            if xv > yv:
-                return False
-            if xv < yv:
-                strictly_better = True
-        else:
-            if xv < yv:
-                return False
-            if xv > yv:
-                strictly_better = True
-    return strictly_better
+    """True iff x is no worse than y everywhere and strictly better somewhere:
+    then, and only then, the front of the pair is x alone."""
+    return front0(_pair(x, y, schema), schema).tolist() == [0]
 
 
 def indicator_value(x, y, schema: ObjectiveSchema) -> float:
@@ -208,7 +198,7 @@ def _class_scores(keys, counts: np.ndarray, schema: ObjectiveSchema) -> np.ndarr
     whatever its order, and the total is the same whichever thread took
     which tile, for any worker count.
     """
-    signed = _signed(keys, schema)
+    signed = -oriented_matrix(keys, schema)  # larger is better
     d = len(signed)
     starts = range(0, d, _TILE_ROWS)
     workers = _workers(len(starts))
@@ -259,7 +249,7 @@ def _workers(tiles: int) -> int:
 
 def _class_wins(keys, schema: ObjectiveSchema) -> np.ndarray:
     """wins[i, j] iff vector i indicator-dominates vector j."""
-    signed = _signed(keys, schema)
+    signed = -oriented_matrix(keys, schema)  # larger is better
     d = len(signed)
     wins = np.zeros((d, d), dtype=bool)
     tiles = _win_tiles(signed, range(0, d, _TILE_ROWS), _tile_buffers(signed))
@@ -267,11 +257,6 @@ def _class_wins(keys, schema: ObjectiveSchema) -> np.ndarray:
         wins[a:b, a:] = beats
         wins[a:, a:b] |= beaten.T
     return wins
-
-
-def _signed(keys, schema: ObjectiveSchema) -> np.ndarray:
-    """Rows of keys times the schema's weights, so larger is better."""
-    return _matrix(keys, schema) * np.array(schema.weights, dtype=float)
 
 
 def _tile_buffers(signed: np.ndarray) -> tuple[np.ndarray, ...]:

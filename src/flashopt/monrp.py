@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,16 +72,14 @@ class MonrpInstance:
             raise ValueError("budget must have P entries")
         if any(b <= 0 for b in self.budget):
             raise ValueError("budgets must be positive")
-        self._scores: tuple[float, ...] | None = None
 
+    @cached_property
     def scores(self) -> tuple[float, ...]:
-        """Per-requirement weighted importance, cached."""
-        if self._scores is None:
-            self._scores = tuple(
-                sum(self.weight[j] * self.importance[j][i] for j in range(self.M))
-                for i in range(self.N)
-            )
-        return self._scores
+        """Per-requirement weighted importance."""
+        return tuple(
+            sum(self.weight[j] * self.importance[j][i] for j in range(self.M))
+            for i in range(self.N)
+        )
 
 
 def generate(
@@ -152,7 +151,7 @@ def evaluate_plan(inst: MonrpInstance, releases) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != inst.N:
         raise ValueError(f"plan length {x.shape[-1]} != N={inst.N}")
     on = x != 0
-    scores = np.array(inst.scores())
+    scores = np.array(inst.scores)
     terms = np.stack([
         np.where(on, scores * (inst.P - x + 1) - np.array(inst.risk) * x, 0.0),
         np.where(on, scores, 0.0),
@@ -230,7 +229,7 @@ def repair_plan(inst: MonrpInstance, release: Sequence[int]) -> list[int]:
     """
     _check_plan(inst, release)
     release = list(release)
-    scores = inst.scores()
+    scores = inst.scores
     while True:
         _drop_precedence_violators(inst, release)
         evicted = False

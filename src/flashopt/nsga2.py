@@ -164,7 +164,8 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
             ids[block] = [snap(child) for child in children]
             x[block] = problem.x[ids[block]]
         else:
-            x[block] = problem.repair(np.array(children))
+            children = np.array(children)
+            x[block] = children if problem.repairer is None else problem.repairer(children)
         y[block] = problem.evaluate(ids[block], x[block])
         combined = np.concatenate([np.sort(population), np.arange(first, first + pop)])
         chosen, rank_all, crowd_all = _select(y[combined], pop, problem.schema)

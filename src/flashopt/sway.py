@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Pool, Problem, RunResult, min_max_scale
 from .dominance import _class_wins, front0
-
-
-@dataclass(frozen=True)
-class SwayConfig:
-    seed: int = 0
 
 
 def two_distant_points(x: np.ndarray, ids: np.ndarray, seed: int) -> tuple[int, int] | None:
@@ -64,7 +58,7 @@ def project(x: np.ndarray, west: int, east: int) -> np.ndarray:
     return (a2 + c * c - b2) / (2.0 * c)
 
 
-def run_sway(problem: Problem, pool: Pool, config: SwayConfig) -> RunResult:
+def run_sway(problem: Problem, pool: Pool, seed: int = 0) -> RunResult:
     """Recursion over arrays of pool rows. Each evaluate call measures one
     pole or one whole leaf; the run's k-th evaluation is row k of the
     concatenated calls."""
@@ -72,7 +66,7 @@ def run_sway(problem: Problem, pool: Pool, config: SwayConfig) -> RunResult:
         raise ValueError("pool must hold at least 2 points")
     enough = max(2, math.ceil(math.sqrt(len(pool))))  # the recursion floor
     schema = problem.schema
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
 
     taken: list[np.ndarray] = []  # the pool rows of each evaluate call
     measured: list[np.ndarray] = []  # and their objective rows

@@ -388,7 +388,7 @@ def reference_repair_plan(inst: MonrpInstance, plan: list[int]) -> list[int]:
     if len(plan) != inst.N:
         raise ValueError(f"plan length {len(plan)} != N={inst.N}")
     release = list(plan)
-    scores = inst.scores()
+    scores = inst.scores
     while True:
         _reference_drop_precedence_violators(inst, release)
         evicted = False
@@ -413,7 +413,7 @@ def reference_evaluate_plan(inst: MonrpInstance, plan: list[int]) -> tuple[float
     requirement in ascending index."""
     if len(plan) != inst.N:
         raise ValueError(f"plan length {len(plan)} != N={inst.N}")
-    scores = inst.scores()
+    scores = inst.scores
     f1 = 0.0
     f2 = 0.0
     f3 = 0.0

@@ -41,7 +41,7 @@ from flashopt.domtree import build_domination_tree, render, tree_stats
 from flashopt.metrics import ReferenceFront, gd, igd, reference_front
 from flashopt.monrp import MonrpInstance, evaluate_plan, generate, is_feasible, sample_plans
 from flashopt.stats import a12, scott_knott
-from flashopt.sway import SwayConfig, run_sway
+from flashopt.sway import run_sway
 from flashopt.synth import make_synthetic
 
 from conftest import brute_binary_dominates, brute_front_partition, whole_pool
@@ -202,7 +202,7 @@ def test_criterion_5_sway_budget_bound():
     pool = whole_pool(base)
     worst = 0
     for seed in range(REPEATS):
-        res = run_sway(base.fresh(), pool, SwayConfig(seed=BASE_SEED + seed))
+        res = run_sway(base.fresh(), pool, BASE_SEED + seed)
         worst = max(worst, res.evals)
         assert res.evals <= 130, (seed, res.evals)
     ok(5, f"recursive-bisection budget bound (max {worst} evals)")
@@ -315,7 +315,7 @@ def test_criterion_10_monrp_formulas():
         delayed = list(plan)
         delayed[i] += 1
         before, after = evaluate_plan(scenario, [plan, delayed])[:, 0].tolist()
-        assert after - before == -(scenario.scores()[i] + scenario.risk[i])
+        assert after - before == -(scenario.scores[i] + scenario.risk[i])
         checked += 1
 
     tight = generate(30, 4, 5, 25, 85, seed=77)

@@ -1,3 +1,6 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -212,6 +215,40 @@ class TestMainRun:
         evals = {(run, algo): int(n) for run, algo, n, *_ in rows}
         for run in ("0", "1"):
             assert evals[(run, "random")] == evals[(run, "flash")]
+
+    def test_timings_change_only_wall_ms(self, tmp_path):
+        dirs = [tmp_path / "plain", tmp_path / "timed"]
+        for out_dir, flag in zip(dirs, ([], ["--timings"])):
+            argv = ["run", "--problem", "synth:step", "--pool", "60", "--algo", "flash,random",
+                    "--repeats", "1", "--out", str(out_dir / "results.csv"), *flag]
+            assert main(argv) == 0
+        plain, timed = ([ln.rsplit(",", 1) for ln in (d / "results.csv").read_text().splitlines()]
+                        for d in dirs)
+        assert len(plain) == 3 and plain[0][1] == "wall_ms"
+        assert [row[0] for row in plain] == [row[0] for row in timed]
+        assert all(row[1] == "0.000000" for row in plain[1:])
+        assert all(float(row[1]) > 0 for row in timed[1:])
+        runs = [sorted((d / "runs").iterdir()) for d in dirs]
+        assert [p.name for p in runs[0]] == [p.name for p in runs[1]] != []
+        for a, b in zip(*runs):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("algo, flags, given", [
+        ("flash,nsga2", [], {}),
+        ("flash,nsga2", ["--init", "7", "--gens", "3"], {"size0": 7, "generations": 3}),
+        (" flash , nsga2 ", [], {}),
+    ], ids=["defaults", "init-gens", "spaced-names"])
+    def test_parser_fills_the_spec(self, tmp_path, monkeypatch, algo, flags, given):
+        specs = []
+
+        def spy(spec):
+            specs.append(spec)
+            return SimpleNamespace(rows=[])
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        out = str(tmp_path / "results.csv")
+        assert main(["run", "--problem", "synth:step", "--algo", algo, "--out", out, *flags]) == 0
+        assert specs == [ExperimentSpec("synth:step", ["flash", "nsga2"], out=Path(out), **given)]
 
     def test_empty_algorithm_list_exits_1_naming_the_choices(self, tmp_path, capsys):
         argv = ["run", "--problem", "synth:step", "--algo", ",",

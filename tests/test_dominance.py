@@ -76,6 +76,35 @@ class TestBinaryDominates:
                     x, y, ["min"] * k
                 )
 
+    def test_matches_oracle_on_tied_pairs_of_mixed_senses(self, rng):
+        # Values from {-0.0, 0.0, 1.0, 2.0}: copies, ties and signed zeros.
+        for k in (1, 2, 3):
+            schema = ObjectiveSchema(tuple(f"o{i}" for i in range(k)),
+                                     tuple(rng.choice(list(Sense)) for _ in range(k)))
+            for _ in range(300):
+                x = tuple(rng.choice((-0.0, 0.0, 1.0, 2.0)) for _ in range(k))
+                y = tuple(rng.choice((-0.0, 0.0, 1.0, 2.0)) for _ in range(k))
+                want = brute_binary_dominates(x, y, senses_of(schema))
+                assert binary_dominates(x, y, schema) == want, (x, y, schema)
+
+
+class TestPairsRejectNonFinite:
+    def test_binary_dominates(self, min2):
+        with pytest.raises(ValueError, match=r"non-finite .*\(0\.0, nan\)"):
+            binary_dominates((0, math.nan), (1, 1), min2)
+        with pytest.raises(ValueError, match=r"non-finite .*\(nan, 1\.0\)"):
+            binary_dominates((0, 0), (math.nan, 1), min2)
+
+    def test_indicator_dominates(self, min2):
+        with pytest.raises(ValueError, match=r"non-finite .*\(nan, 1\.0\)"):
+            indicator_dominates((0, 0), (math.nan, 1), min2)
+
+    def test_indicator_value(self, min2):
+        with pytest.raises(ValueError, match=r"non-finite .*\(0\.0, inf\)"):
+            indicator_value((0, 0), (0, math.inf), min2)
+        with pytest.raises(ValueError, match=r"non-finite .*\(nan, 1\.0\)"):
+            indicator_value((0, 0), (math.nan, 1), min2)
+
 
 class TestIndicator:
     def test_worked_example(self, min2):

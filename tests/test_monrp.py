@@ -123,7 +123,7 @@ class TestEvaluatePlan:
             delayed = list(plan)
             delayed[i] += 1
             before, after = evaluate_plan(inst, [plan, delayed])[:, 0].tolist()
-            assert after - before == -(inst.scores()[i] + inst.risk[i])
+            assert after - before == -(inst.scores[i] + inst.risk[i])
 
     def test_f3_monotone_under_additions(self):
         rng = random.Random(8)
@@ -432,5 +432,5 @@ class TestAsProblem:
         inst = generate(30, 4, 3, 10, 80, seed=2)
         rng = random.Random(7)
         plans = [[rng.randint(0, inst.P) for _ in range(inst.N)] for _ in range(40)]
-        repaired = as_problem(inst).repair(np.array(plans, dtype=float))
+        repaired = as_problem(inst).repairer(np.array(plans, dtype=float))
         assert repaired.tolist() == [list(map(float, repair_plan(inst, p))) for p in plans]

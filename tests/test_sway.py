@@ -3,7 +3,7 @@ import pytest
 
 from flashopt.core import ObjectiveSchema, Pool, Problem, Sense
 from flashopt.dominance import front0
-from flashopt.sway import SwayConfig, project, run_sway, two_distant_points
+from flashopt.sway import project, run_sway, two_distant_points
 from flashopt.synth import make_synthetic
 
 from conftest import positions, whole_pool
@@ -75,7 +75,7 @@ class TestRunSway:
         schema = ObjectiveSchema(("f1", "f2"), (Sense.MIN, Sense.MIN))
         objectives = [(0.0, 1.0), (0.3, 0.9), (0.5, 0.5), (0.6, 0.6), (0.9, 0.3), (1.0, 0.0)]
         prob = Problem.tabular("trade", ("x",), schema, [(i,) for i in range(6)], objectives)
-        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=1))
+        res = run_sway(prob, whole_pool(prob), 1)
         assert res.evals == 6 + 2
         assert sorted({e.id for e in res.evaluated}) == list(range(6))
         y = np.array([e.objectives.values for e in res.evaluated])
@@ -87,7 +87,7 @@ class TestRunSway:
         schema = ObjectiveSchema(("f1", "f2"), (Sense.MIN, Sense.MIN))
         rows = [(i / (n - 1),) for i in range(n)]
         prob = Problem.tabular("flat", ("x",), schema, rows, [(1.0, 2.0)] * n)
-        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=4))
+        res = run_sway(prob, whole_pool(prob), 4)
         # Two root poles, neither wins, then every pool member is measured
         # at the leaf (poles are measured again there).
         assert res.evals == n + 2
@@ -100,25 +100,25 @@ class TestRunSway:
         prob = Problem.tabular("same", ("a", "b"), schema, [(0.5, 3.0)] * n, [(1.0, 2.0)] * n)
         pool = whole_pool(prob)
         assert two_distant_points(pool.x, pool.ids, 0) is None
-        res = run_sway(prob, pool, SwayConfig(seed=2))
+        res = run_sway(prob, pool, 2)
         assert res.evals == n
         assert [e.id for e in res.evaluated] == list(range(n))
 
     def test_gradient_consistent_pool_stays_cheap(self):
         prob = make_synthetic("line", 4096)
-        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=5))
+        res = run_sway(prob, whole_pool(prob), 5)
         # 2 log2(4096) + sqrt(4096) = 88
         assert res.evals <= 88 + 4
 
     def test_pool_of_one_rejected(self):
         prob = make_synthetic("line", 50)
         with pytest.raises(ValueError):
-            run_sway(prob, Pool(np.arange(1), prob.x[:1]), SwayConfig())
+            run_sway(prob, Pool(np.arange(1), prob.x[:1]))
 
     def test_deterministic(self):
         prob = make_synthetic("sphere2", 300)
-        a = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(seed=6))
-        b = run_sway(prob.fresh(), whole_pool(prob), SwayConfig(seed=6))
+        a = run_sway(prob.fresh(), whole_pool(prob), 6)
+        b = run_sway(prob.fresh(), whole_pool(prob), 6)
         assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
 
     def test_no_point_emitted_twice(self):
@@ -126,7 +126,7 @@ class TestRunSway:
         # the evaluation log at most twice: once as a cached pole and once
         # inside its emitted leaf.
         prob = make_synthetic("sphere2", 500)
-        res = run_sway(prob, whole_pool(prob), SwayConfig(seed=11))
+        res = run_sway(prob, whole_pool(prob), 11)
         counts = {}
         for e in res.evaluated:
             counts[e.id] = counts.get(e.id, 0) + 1
