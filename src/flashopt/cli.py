@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import math
+import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -66,6 +67,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.seed < 0:  # random.Random(-s) repeats random.Random(s)
+            raise ValueError("seed must be at least 0")
         if not self.algorithms:
             raise ValueError(f"no algorithm given; choose from {list(ALGORITHMS)}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -106,7 +109,7 @@ class ExperimentResult:
 
 def run_random(problem: Problem, budget: int, seed: int) -> RunResult:
     """Budget-matched control: evaluate `budget` uniform pool samples."""
-    pool = problem.sample_pool(budget, seed)
+    pool = problem.sample_pool(budget, random.Random(seed))
     y = problem.evaluate(pool.ids, pool.x)
     return RunResult.from_rows(pool.ids, pool.x, y, front0(y, problem.schema))
 
@@ -158,7 +161,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if tabular and spec.pool >= base.pool_size:
                 pool = Pool(np.arange(base.pool_size), base.x)
             else:
-                pool = base.sample_pool(spec.pool, seed_r)
+                pool = base.sample_pool(spec.pool, random.Random(seed_r))
         flash_evals: int | None = None
         # random runs last so it can match flash's count whatever the order
         for algo in sorted(spec.algorithms, key=lambda a: a == "random"):

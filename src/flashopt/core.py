@@ -14,6 +14,7 @@ RunResult.from_rows.
 
 from __future__ import annotations
 
+import codecs
 import math
 import random
 import warnings
@@ -226,13 +227,12 @@ class Problem:
         self.eval_count += len(ids)
         return y
 
-    def sample_pool(self, n: int, seed: int) -> Pool:
-        """Seeded pool of n rows: drawn without replacement from a TABULAR
-        table, ids its row numbers; fresh valid rows of a GENERATIVE
+    def sample_pool(self, n: int, rng: random.Random) -> Pool:
+        """A pool of n rows drawn from rng: without replacement from a
+        TABULAR table, ids its row numbers; fresh valid rows of a GENERATIVE
         problem, ids 0..n-1."""
         if n < 1:
             raise ValueError("sample size must be at least 1")
-        rng = random.Random(seed)
         if self.kind is ProblemKind.TABULAR:
             if n > len(self.x):
                 raise ValueError(
@@ -248,9 +248,10 @@ class Problem:
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file. Undecodable bytes raise a LoadError that
-    names the path and the line of the first bad byte."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, without one leading byte-order mark.
+    Undecodable bytes raise a LoadError that names the path and the line
+    of the first bad byte."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

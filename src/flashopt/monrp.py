@@ -178,15 +178,9 @@ def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> bool:
     """
     _check_plan(inst, release)
     load = _release_loads(inst, release)
-    for k in range(1, inst.P + 1):
-        if load[k] > inst.budget[k - 1]:
-            return False
-    for a, b in inst.deps:
-        if release[a] == 0:
-            continue
-        if release[b] == 0 or release[b] > release[a]:
-            return False
-    return True
+    fits = not any(load[k] > cap for k, cap in enumerate(inst.budget, start=1))
+    # The drop pass changes a copy exactly when some edge is violated in it.
+    return fits and not _drop_precedence_violators(inst, list(release))
 
 
 def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:

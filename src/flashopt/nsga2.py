@@ -113,17 +113,11 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
     x = np.empty((total, arity))
     y = np.empty((total, len(problem.schema)))
 
-    tabular = problem.kind is ProblemKind.TABULAR
-    if tabular:
-        if pop > problem.pool_size:
-            raise ValueError(f"pop_size {pop} exceeds pool of {problem.pool_size}")
-        start = rng.sample(range(problem.pool_size), pop)
-        snap = pool_snapper(problem.x, start)
-        ids[:pop] = start
-        x[:pop] = problem.x[start]
-    else:
-        x[:pop] = problem.sampler(rng, pop)
+    start = problem.sample_pool(pop, rng)
+    ids[:pop], x[:pop] = start.ids, start.x
     y[:pop] = problem.evaluate(ids[:pop], x[:pop])
+    tabular = problem.kind is ProblemKind.TABULAR
+    snap = pool_snapper(problem.x, start.ids) if tabular else None
 
     population = np.arange(pop)
     _, ranks, crowd = _select(y[:pop], pop, problem.schema)

@@ -295,6 +295,18 @@ class TestFitMatchesReference:
         assert tree_nodes(tree) == tree_nodes(reference_fit(x, y))
         assert (tree.n[tree.left < 0] > 1).any()
 
+    def test_collapsed_midpoint_falls_back_to_the_lower_value(self):
+        # Between 1.0 and the float just below it, the midpoint rounds up to
+        # 1.0, which would send both rows left.
+        lo = np.nextafter(1.0, 0.0)
+        assert 0.5 * (lo + 1.0) >= 1.0
+        x = np.array([[lo], [1.0], [lo], [1.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        tree = fit_arrays(x, y)
+        assert tree.threshold[0] == lo
+        assert predict_many(tree, np.array([[lo], [1.0]])).tolist() == [0.0, 1.0]
+        assert tree_nodes(tree) == tree_nodes(reference_fit(x, y))
+
 
 @st.composite
 def split_blocks(draw):

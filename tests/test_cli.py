@@ -129,15 +129,16 @@ class TestRunExperiment:
         sizes = []
         real = Problem.sample_pool
 
-        def spy(self, n, seed):
+        def spy(self, n, rng):
             sizes.append(n)
-            return real(self, n, seed)
+            return real(self, n, rng)
 
         monkeypatch.setattr(Problem, "sample_pool", spy)
         spec = ExperimentSpec(problem="monrp:12-3-2-20-50", algorithms=["nsga2", "random"],
                               repeats=2, pool=3000, pop=8, generations=2)
         run_experiment(spec)
-        assert sizes == [100, 100]  # random's own budget-sized draws
+        # NSGA-II's pop-sized start and random's own budget-sized draws, per repeat
+        assert sizes == [8, 100] * 2
 
     def test_results_file_deterministic(self, tmp_path):
         out1 = tmp_path / "a" / "results.csv"
@@ -267,8 +268,9 @@ class TestMainRun:
         ("nsga2,sway", ["--problem", "monrp:10-2-2-2-90", "--pool", "1"],
          "pool must hold at least 2 points"),
         ("nsga2,random", ["--budget", "500"], "budget 500 exceeds pool of 200"),
+        ("flash,nsga2", ["--seed", "-1"], "seed must be at least 0"),
     ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool", "sway-pool",
-            "budget-over-pool"])
+            "budget-over-pool", "negative-seed"])
     def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
                                              algo, flag, message):
         runs = []
@@ -488,6 +490,22 @@ class TestMainStats:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {results}:3: not UTF-8 text (byte 0xe9")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header", ["run,algo,evals,gd", "gd,run,algo,evals"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, header):
+        cols = header.split(",")
+        rows = [dict(run=r, algo=a, evals=5, gd=g)
+                for r, (a, g) in enumerate([("a", 0.1), ("b", 0.3), ("a", 0.2), ("b", 0.4)])]
+        text = header + "\n" + "".join(",".join(str(row[c]) for c in cols) + "\n" for row in rows)
+        argv = ["stats", "--measure", "gd", "--baseline", "a", "--in"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(argv + [str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(argv + [str(marked)]) == 0
+        assert capsys.readouterr().out == want
+        assert "algo=a median=0.150000" in want
 
     def test_text_cell_rejected_with_location(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import math
 import random
@@ -272,6 +273,24 @@ class TestLoaderAgainstReference:
         prob = load_tabular(write(tmp_path, "a,-y\r\n1,2\r2,4\n3,1\r\n\r\n"))
         assert prob.x.tolist() == [[1.0], [2.0], [3.0]]
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with the mark EF BB BF.
+        text = "-latency,spouts,+throughput\n10.5,1,100\n8.0,2,90\n"
+        plain = write(tmp_path, text, "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        want = loaded(load_tabular, plain)
+        assert want[0] == ("spouts",) and want[1].names == ("latency", "throughput")
+        assert loaded(load_tabular, marked) == want
+        assert loaded(reference_load_tabular, marked) == want
+
+    def test_byte_order_mark_keeps_the_bad_byte_and_its_line(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"x,-y\n1,3\n2,\xe92\n")
+        with pytest.raises(LoadError) as err:
+            load_tabular(path)
+        assert str(err.value).startswith(f"{path}:3: not UTF-8 text (byte 0xe9")
+
 
 class TestEvaluate:
     def test_memoized_and_counted(self, tmp_path):
@@ -324,7 +343,7 @@ class TestEvaluate:
         else:
             prob = as_problem(generate(20, 3, 4, 10, 90, seed=11))
         assert prob.kind is kind
-        first = prob.sample_pool(1, seed=0)
+        first = prob.sample_pool(1, random.Random(0))
         prob.evaluate(first.ids, first.x)
         clone = prob.fresh()
         assert clone.kind is kind
@@ -345,15 +364,15 @@ def table_of(n):
 class TestSamplePool:
     def test_full_sample_returns_all_rows(self, tmp_path):
         prob = load_tabular(write(tmp_path, table_of(10)))
-        sample = prob.sample_pool(10, seed=3)
+        sample = prob.sample_pool(10, random.Random(3))
         assert len(sample) == 10
         assert sorted(sample.ids.tolist()) == list(range(10))
         assert sample.x.tolist() == prob.x[sample.ids].tolist()
 
     def test_seed_determinism(self, tmp_path):
         prob = load_tabular(write(tmp_path, table_of(30)))
-        a = prob.sample_pool(7, seed=42)
-        b = prob.sample_pool(7, seed=42)
+        a = prob.sample_pool(7, random.Random(42))
+        b = prob.sample_pool(7, random.Random(42))
         assert a.ids.tolist() == b.ids.tolist()
         assert a.x.tolist() == b.x.tolist()
 
@@ -369,17 +388,17 @@ class TestSamplePool:
         rows = [tuple(r) for r in prob.x.tolist()]
         for seed in range(3):
             want = random.Random(seed).sample(rows, k)
-            assert [tuple(r) for r in prob.sample_pool(k, seed).x.tolist()] == want
+            assert [tuple(r) for r in prob.sample_pool(k, random.Random(seed)).x.tolist()] == want
 
     def test_oversample_rejected(self, tmp_path):
         prob = load_tabular(write(tmp_path, SMALL))
         with pytest.raises(ValueError, match="exceeds pool"):
-            prob.sample_pool(3, seed=0)
+            prob.sample_pool(3, random.Random(0))
 
     def test_monrp_sample_is_feasible(self):
         inst = generate(20, 3, 4, 10, 90, seed=11)
         prob = as_problem(inst)
-        sample = prob.sample_pool(100, seed=5)
+        sample = prob.sample_pool(100, random.Random(5))
         assert len(sample) == 100
         assert sample.ids.tolist() == list(range(100))
         for row in sample.x.astype(int).tolist():
@@ -388,4 +407,6 @@ class TestSamplePool:
     def test_generative_sampling_deterministic(self):
         inst = generate(10, 2, 2, 0, 120, seed=1)
         prob = as_problem(inst)
-        assert prob.sample_pool(5, seed=9).x.tolist() == prob.sample_pool(5, seed=9).x.tolist()
+        a = prob.sample_pool(5, random.Random(9))
+        b = prob.sample_pool(5, random.Random(9))
+        assert a.x.tolist() == b.x.tolist()

@@ -17,6 +17,7 @@ from flashopt.dominance import (
     _PARALLEL_TILES,
     _TILE_ROWS,
     _class_wins,
+    _ordered_sum,
     binary_dominates,
     domination_scores,
     front0,
@@ -536,3 +537,18 @@ class TestClassScores:
         with pytest.raises(RuntimeError, match="worker failed"):
             domination_scores(y, schema_for(3))
         assert threading.enumerate() == before
+
+
+class TestOrderedSum:
+    """_ordered_sum must add in numpy's own pairwise order, bit for bit, on
+    every path: left to right under 8 terms, 8 accumulators from 8 terms
+    up (their loop body runs from 16), and the recursive split above 128."""
+
+    def test_same_bits_as_numpy_sum(self):
+        gen = np.random.default_rng(5)
+        for n in [*range(1, 301), 513, 1030]:
+            # mixed signs over 25 decades, so any other order rounds differently
+            values = gen.normal(size=(n, 3, 5)) * 10.0 ** gen.integers(-12, 13, size=(n, 3, 5))
+            want = np.stack(list(values), axis=-1).sum(axis=-1)
+            got = _ordered_sum([v.copy() for v in values])
+            assert got.tobytes() == want.tobytes(), n

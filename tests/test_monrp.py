@@ -229,6 +229,28 @@ class TestIsFeasible:
         release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
         assert is_feasible(inst, release) == (repair_plan(inst, release) == release)
 
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(0, 60),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_answer_as_the_definition(self, n, p, dep, funding, seed, data):
+        # Every release within budget, and every edge of an implemented
+        # requirement met by a dependency no later than it; the plan is not
+        # changed by the check.
+        inst = generate(n, p, 2, dep, funding, seed=seed)
+        release = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+        given_plan = list(release)
+        loads = [sum(c for c, x in zip(inst.cost, release) if x == k) for k in range(1, p + 1)]
+        fits = all(load <= cap for load, cap in zip(loads, inst.budget))
+        ordered = all(release[a] == 0 or 0 < release[b] <= release[a] for a, b in inst.deps)
+        assert is_feasible(inst, release) == (fits and ordered)
+        assert release == given_plan
+
 
 class TestRandomValidPlan:
     def test_always_feasible(self):

@@ -160,6 +160,32 @@ class TestRunNsga2:
         for e in res.evaluated:
             assert rows[e.id] == tuple(e.decisions.tolist())
 
+    @pytest.mark.parametrize("kind", ["tabular", "generative"])
+    def test_start_is_drawn_through_sample_pool(self, monkeypatch, kind):
+        draws = []
+        real = Problem.sample_pool
+
+        def spy(self, n, rng):
+            draws.append((self.kind, n))
+            return real(self, n, rng)
+
+        monkeypatch.setattr(Problem, "sample_pool", spy)
+        if kind == "tabular":
+            prob = make_synthetic("step", 300)
+        else:
+            prob = as_problem(generate(12, 3, 2, 20, 50, seed=1))
+        res = run_nsga2(prob, Nsga2Config(pop_size=8, generations=2, seed=4))
+        assert draws == [(prob.kind, 8)]
+        start = real(prob, 8, random.Random(4))
+        assert [e.id for e in res.evaluated[:8]] == start.ids.tolist()
+        assert np.array_equal([e.decisions for e in res.evaluated[:8]], start.x)
+
+    def test_pop_above_the_table_is_rejected_by_the_draw(self):
+        prob = make_synthetic("step", 6)
+        with pytest.raises(ValueError, match="^step: sample of 8 exceeds pool size 6$"):
+            run_nsga2(prob, Nsga2Config(pop_size=8, generations=1, seed=0))
+        assert prob.eval_count == 0
+
 
 @st.composite
 def selection_cases(draw):
