@@ -27,7 +27,6 @@ from statistics import median
 import numpy as np
 
 from .core import (
-    EvaluatedPoint,
     Pool,
     Problem,
     ProblemKind,
@@ -111,12 +110,7 @@ def run_random(problem: Problem, budget: int, seed: int) -> RunResult:
     """Budget-matched control: evaluate `budget` uniform pool samples."""
     pool = problem.sample_pool(budget, random.Random(seed))
     y = problem.evaluate(pool.ids, pool.x)
-    return RunResult.from_rows(pool.ids, pool.x, y, front0(y, problem.schema))
-
-
-def _objectives(evaluated: list[EvaluatedPoint]) -> np.ndarray:
-    """Objective matrix of evaluated points, row k for point k."""
-    return np.array([ev.objectives.values for ev in evaluated], dtype=float)
+    return RunResult(pool.ids, pool.x, y, front0(y, problem.schema))
 
 
 def build_problem(source: str, pool_n: int, base_seed: int) -> Problem:
@@ -182,14 +176,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 budget = flash_evals if flash_evals is not None else spec.budget
                 result = run_random(problem, budget, seed_r)
             walls[(r, algo)] = (time.perf_counter() - started) * 1000.0
+            if result.evals != problem.eval_count:
+                raise ValueError(
+                    f"run {r} {algo}: reports {result.evals} evaluations, "
+                    f"the problem counted {problem.eval_count}"
+                )
             results[(r, algo)] = result
 
-    all_best = [ev for res in results.values() for ev in res.best]
-    ref = reference_front(_objectives(all_best), base.schema)
+    all_best = np.concatenate([res.y[res.front] for res in results.values()])
+    ref = reference_front(all_best, base.schema)
 
     rows = []
     for (r, algo), res in sorted(results.items()):
-        solutions = _objectives(res.best)
+        solutions = res.y[res.front]
         rows.append(
             ResultRow(
                 run=r,
@@ -233,10 +232,9 @@ def _dump_csv(problem: Problem, result: RunResult) -> str:
         for name, s in zip(problem.schema.names, problem.schema.senses)
     ]
     lines = [",".join(header)]
-    for ev in result.evaluated:
-        cells = [repr(v) for v in ev.decisions.tolist()]
-        cells += [repr(v) for v in ev.objectives.values]
-        lines.append(",".join(cells))
+    # One row at a time: a whole-run tolist() would hold every cell at once.
+    for row in np.hstack([result.x, result.y]):
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

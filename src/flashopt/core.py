@@ -7,9 +7,8 @@ take a (k, d) block of rows). A repeat's candidates are a Pool of
 ids and decision rows, drawn by Problem.sample_pool for both kinds. Every
 fitness measurement goes through :meth:`Problem.evaluate`, which takes a
 block of rows and is the only operation that touches the evaluation
-counter. Optimizers keep their evaluations as arrays and build the
-per-row EvaluatedPoint records once, at the end of a run, with
-RunResult.from_rows.
+counter. A RunResult holds a run's evaluations as arrays; its per-row
+EvaluatedPoint records are built only when read.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -88,29 +88,36 @@ class IterationRecord:
     front_size: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    """What one optimizer run produced.
+    """What one optimizer run produced: row k of ids, x and y is its k-th
+    evaluation, and front holds the ascending rows of its final front.
 
-    evaluated is in evaluation order; best is the final non-dominated set
-    and is always a subset of evaluated.
+    evaluated (a record per row), best (the front's records, a subset of
+    evaluated by identity) and evals are built on first read, kept, and
+    may be assigned.
     """
 
-    evaluated: list[EvaluatedPoint]
-    best: list[EvaluatedPoint]
-    evals: int
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    front: np.ndarray
     trace: list[IterationRecord] = field(default_factory=list)
 
-    @classmethod
-    def from_rows(cls, ids, x: np.ndarray, y: np.ndarray, best, trace=None) -> "RunResult":
-        """The records of a run kept as arrays: row k of ids, x and y is its
-        k-th evaluation, and best holds the rows of its final front."""
-        evaluated = [
+    @cached_property
+    def evaluated(self) -> list[EvaluatedPoint]:
+        return [
             EvaluatedPoint(i, d, ObjectiveVector(tuple(o)))
-            for i, d, o in zip(np.asarray(ids).tolist(), x, y.tolist())
+            for i, d, o in zip(self.ids.tolist(), self.x, self.y.tolist())
         ]
-        best = [evaluated[k] for k in np.asarray(best).tolist()]
-        return cls(evaluated, best, len(evaluated), trace or [])
+
+    @cached_property
+    def best(self) -> list[EvaluatedPoint]:
+        return [self.evaluated[k] for k in self.front.tolist()]
+
+    @cached_property
+    def evals(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ with those scores as targets then describes which decisions lead to
 strong regions. The rendering is an indented text listing with the branch
 to the highest-scoring leaf highlighted.
 
-The tree is cart's parallel node arrays. The best path and the rendering
-both read it in one preorder walk over node numbers, left before right.
+The tree is cart's parallel node arrays. The best path is found in one
+backward pass over node numbers, and the rendering is one preorder walk,
+left before right.
 """
 
 from __future__ import annotations
@@ -55,35 +56,24 @@ def build_domination_tree(
     )
 
 
-def _preorder(left: list[int], right: list[int]) -> list[tuple[int, int]]:
-    """Every node with its parent (-1 at the root), left subtree before right,
-    off an explicit stack: deep trees would blow Python's recursion limit."""
-    order = []
-    stack = [(0, -1)]
-    while stack:
-        node, parent = stack.pop()
-        order.append((node, parent))
-        if left[node] >= 0:
-            stack.append((right[node], node))
-            stack.append((left[node], node))
-    return order
-
-
 def _best_path(tree: cart.RegressionTree) -> tuple[PathStep, ...]:
     """Path to the leaf with the highest mean score; ties stay leftmost,
-    the first maximum of the preorder walk."""
-    feature, threshold, left, prediction = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.prediction)
+    the first maximum of a preorder walk."""
+    feature, threshold, left, right, top = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.prediction)
     )
-    walk = _preorder(left, tree.right.tolist())
-    parent = dict(walk)
-    best = max((node for node, _ in walk if left[node] < 0), key=prediction.__getitem__)
+    # Children are numbered after their parent, so one backward pass gives
+    # every node the best leaf mean below it.
+    for node in reversed(range(len(left))):
+        if left[node] >= 0:
+            top[node] = max(top[left[node]], top[right[node]])
     steps: list[PathStep] = []
-    while parent[best] >= 0:
-        up = parent[best]
-        steps.append(PathStep(feature[up], "<=" if left[up] == best else ">", threshold[up]))
-        best = up
-    return tuple(reversed(steps))
+    node = 0
+    while left[node] >= 0:
+        go_left = top[left[node]] == top[node]
+        steps.append(PathStep(feature[node], "<=" if go_left else ">", threshold[node]))
+        node = left[node] if go_left else right[node]
+    return tuple(steps)
 
 
 def _fmt_score(v: float) -> str:
@@ -108,17 +98,21 @@ def render(dt: DominationTree) -> str:
         node = (left if step.direction == "<=" else right)[node]
         on_path.add(node)
     lines: list[str] = []
-    depth = [0] * len(left)
-    # Each non-root node is reached through its parent's line for its side.
-    for node, parent in _preorder(left, right):
+    # Preorder off an explicit stack, as deep trees would blow Python's
+    # recursion limit; each non-root node comes with its parent's line for
+    # its side.
+    stack = [(0, 0, "")]
+    while stack:
+        node, depth, branch = stack.pop()
         mark = "**" if node in on_path else ""
-        if parent >= 0:
-            depth[node] = depth[parent] + 1
-            side = "<=" if left[parent] == node else ">"
-            branch = f"{dt.decision_names[feature[parent]]}{side}{threshold[parent]:g}"
-            lines.append(f"{'|    ' * depth[parent]}{mark}{branch}{mark}")
+        if branch:
+            lines.append(f"{'|    ' * (depth - 1)}{mark}{branch}{mark}")
         if left[node] < 0:
-            lines.append(f"{'|    ' * depth[node]}{mark}({_fmt_score(prediction[node])}){mark}")
+            lines.append(f"{'|    ' * depth}{mark}({_fmt_score(prediction[node])}){mark}")
+        else:
+            name, t = dt.decision_names[feature[node]], threshold[node]
+            stack.append((right[node], depth + 1, f"{name}>{t:g}"))
+            stack.append((left[node], depth + 1, f"{name}<={t:g}"))
     return "\n".join(lines)
 
 

@@ -80,7 +80,7 @@ def run_flash(problem: Problem, pool: Pool, config: FlashConfig) -> RunResult:
             best = [grown[k] for k in kept]
         trace.append(IterationRecord(int(pool.ids[rows[new]]), lives, len(best)))
 
-    return RunResult.from_rows(pool.ids[rows], pool.x[rows], y[: len(rows)], best, trace)
+    return RunResult(pool.ids[rows], pool.x[rows], y[: len(rows)], np.array(best), trace)
 
 
 def what_to_evaluate_next(

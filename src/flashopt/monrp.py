@@ -176,11 +176,9 @@ def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> bool:
 
     Infeasibility is answered, not raised; only a malformed plan raises.
     """
-    _check_plan(inst, release)
-    load = _release_loads(inst, release)
-    fits = not any(load[k] > cap for k, cap in enumerate(inst.budget, start=1))
-    # The drop pass changes a copy exactly when some edge is violated in it.
-    return fits and not _drop_precedence_violators(inst, list(release))
+    # Repair changes a plan exactly when it drops a precedence violator or
+    # evicts from an over-budget release, so a feasible plan is its fixed point.
+    return repair_plan(inst, release) == list(release)
 
 
 def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:

@@ -168,7 +168,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
         crowd = crowd_all[chosen].tolist()
 
     final = np.sort(population)
-    return RunResult.from_rows(ids, x, y, final[front0(y[final], problem.schema)])
+    return RunResult(ids, x, y, final[front0(y[final], problem.schema)])
 
 
 def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):

@@ -109,4 +109,4 @@ def run_sway(problem: Problem, pool: Pool, seed: int = 0) -> RunResult:
     recurse(np.arange(len(pool)))
     rows = np.concatenate(taken)
     y = np.concatenate(measured)
-    return RunResult.from_rows(pool.ids[rows], pool.x[rows], y, front0(y, schema))
+    return RunResult(pool.ids[rows], pool.x[rows], y, front0(y, schema))

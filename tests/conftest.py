@@ -748,12 +748,6 @@ def whole_pool(problem: Problem) -> Pool:
     return Pool(np.arange(problem.pool_size), problem.x)
 
 
-def positions(records, result) -> list[int]:
-    """Evaluation order of each record of a run: its row in result.evaluated."""
-    row = {id(ev): k for k, ev in enumerate(result.evaluated)}
-    return [row[id(ev)] for ev in records]
-
-
 def senses_of(schema: ObjectiveSchema) -> list[str]:
     return ["min" if s is Sense.MIN else "max" for s in schema.senses]
 

@@ -90,8 +90,8 @@ def domination_trees(experiments) -> dict:
         for (run, algo), rr in sorted(result.results.items()):
             if algo in TREE_ALGOS:
                 trees[(name, run, algo)] = build_domination_tree(
-                    np.array([ev.decisions for ev in rr.evaluated]),
-                    np.array([ev.objectives.values for ev in rr.evaluated]),
+                    rr.x,
+                    rr.y,
                     base.schema,
                     base.decision_names,
                 )

@@ -35,13 +35,13 @@ class TestRunRandom:
         prob = make_synthetic("line", 100)
         res = run_random(prob, 1, seed=4)
         assert res.evals == 1
-        assert res.best == res.evaluated
+        assert res.front.tolist() == [0]
 
     def test_full_budget_finds_true_front(self):
         prob = make_synthetic("sphere2", 64)
         res = run_random(prob.fresh(), 64, seed=4)
         want = {tuple(v) for v in prob.y[front0(prob.y, prob.schema)].tolist()}
-        assert {e.objectives.values for e in res.best} == want
+        assert {tuple(v) for v in res.y[res.front].tolist()} == want
 
     def test_exact_budget(self):
         prob = make_synthetic("line", 100)
@@ -107,7 +107,7 @@ class TestRunExperiment:
         schema = build_problem(spec.problem, spec.pool, spec.seed).schema
         senses = [s.value for s in schema.senses]
         ref = result.ref.points
-        bests = {key: [ev.objectives.values for ev in res.best]
+        bests = {key: [tuple(v) for v in res.y[res.front].tolist()]
                  for key, res in result.results.items()}
         for key, points in bests.items():
             for p in points:
@@ -269,8 +269,16 @@ class TestMainRun:
          "pool must hold at least 2 points"),
         ("nsga2,random", ["--budget", "500"], "budget 500 exceeds pool of 200"),
         ("flash,nsga2", ["--seed", "-1"], "seed must be at least 0"),
+        ("flash,nsga2", ["--repeats", "0"], "repeats must be at least 1"),
+        ("flash,nsga2", ["--problem", "synth:nope"],
+         "unknown synthetic 'nope' (choose from ['line', 'sphere2', 'step'])"),
+        ("flash,nsga2", ["--problem", "synth:line", "--pool", "1"],
+         "line needs at least 2 points"),
+        ("flash,nsga2", ["--problem", "monrp:2-1-1-100-50"],
+         "cannot place 2 acyclic edges among 2 nodes"),
     ], ids=["budget", "lives", "gens", "size0-over-pool", "pop-over-pool", "sway-pool",
-            "budget-over-pool", "negative-seed"])
+            "budget-over-pool", "negative-seed", "repeats", "unknown-synth", "synth-pool",
+            "monrp-edges"])
     def test_bad_flag_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
                                              algo, flag, message):
         runs = []
@@ -288,6 +296,39 @@ class TestMainRun:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert runs == []
+
+    @pytest.mark.parametrize("header, fault", [
+        (None, ": empty file"),
+        ("a,,-b", ":1: empty header name in column 2"),
+        ("a,-", ":1: bare objective prefix in column 2"),
+        ("-b,+c", ":1: no decision columns"),
+        ("a,-b,+b", ":1: duplicate objective names"),
+        ("a,a,-b", ":1: duplicate decision names"),
+    ], ids=["empty", "empty-name", "bare-prefix", "no-decisions", "dup-objectives",
+            "dup-decisions"])
+    def test_header_fault_exits_1_naming_the_file(self, tmp_path, capsys, header, fault):
+        path = tmp_path / "prob.csv"
+        path.write_text("" if header is None else f"{header}\n1,2,3\n", encoding="utf-8")
+        argv = ["run", "--problem", str(path), "--algo", "flash",
+                "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}{fault}\n"
+
+    def test_miscounted_evaluations_exit_1_before_writing(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_nsga2
+
+        def undercounted(*args):
+            result = real(*args)
+            result.evals -= 1
+            return result
+
+        monkeypatch.setattr(cli, "run_nsga2", undercounted)
+        argv = ["run", "--problem", "synth:step", "--algo", "nsga2", "--pool", "200",
+                "--pop", "8", "--gens", "2", "--out", str(tmp_path / "results.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: run 0 nsga2: reports 23 evaluations, the problem counted 24\n"
+        assert not (tmp_path / "results.csv").exists()
 
     def test_non_integer_monrp_field_exits_1_with_the_format(self, tmp_path, capsys):
         argv = ["run", "--problem", "monrp:5-2-2-x-90", "--algo", "flash",
@@ -348,6 +389,11 @@ class TestMainRun:
         assert main(["tree", "--in", "one", "--run-id", "0", "--algo", "random"]) == 1
         err = capsys.readouterr().err
         assert err == "error: one/runs/run0_random.csv: need at least 2 evaluated points\n"
+
+    def test_tree_of_a_missing_run_exits_1(self, tmp_path, capsys):
+        assert main(["tree", "--in", str(tmp_path), "--run-id", "0", "--algo", "flash"]) == 1
+        dump = tmp_path / "runs" / "run0_flash.csv"
+        assert capsys.readouterr().err == f"error: no stored run at {dump}\n"
 
     def test_unknown_algorithm_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -446,6 +492,24 @@ class TestMainStats:
         printed = capsys.readouterr().out
         assert "rank=1 algo=good" in printed
         assert "rank=2 algo=bad" in printed
+
+    def test_unknown_baseline_exits_1(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("run,algo,evals,gd,igd,wall_ms\n0,a,5,0.1,0.1,0\n", encoding="utf-8")
+        argv = ["stats", "--in", str(results), "--measure", "gd", "--baseline", "zzz"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: baseline algorithm 'zzz' not in results\n"
+
+    def test_trailing_blank_line_is_skipped(self, tmp_path, capsys):
+        text = "run,algo,evals,gd,igd,wall_ms\n0,a,5,0.1,0.1,0\n1,a,5,0.3,0.1,0\n"
+        printed = []
+        for name, body in (("plain.csv", text), ("blank.csv", text + "\n")):
+            (tmp_path / name).write_text(body, encoding="utf-8")
+            argv = ["stats", "--in", str(tmp_path / name), "--measure", "gd", "--baseline", "a"]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "rank=1 algo=a median=0.200000" in printed[1]
 
     def test_missing_measure_column(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

@@ -2,6 +2,7 @@ import codecs
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,19 @@ from flashopt import core
 from flashopt.core import (
     LoadError,
     ObjectiveSchema,
+    Pool,
     Problem,
     ProblemKind,
     Sense,
     load_tabular,
     min_max_scale,
 )
+from flashopt.cli import run_random
+from flashopt.flash import FlashConfig, run_flash
 from flashopt.monrp import as_problem, generate, is_feasible
+from flashopt.nsga2 import Nsga2Config, run_nsga2
+from flashopt.sway import run_sway
+from flashopt.synth import make_synthetic
 
 from conftest import reference_load_tabular
 
@@ -410,3 +417,34 @@ class TestSamplePool:
         a = prob.sample_pool(5, random.Random(9))
         b = prob.sample_pool(5, random.Random(9))
         assert a.x.tolist() == b.x.tolist()
+
+
+class TestRunResultViews:
+    """A run is its arrays; the per-row records are views built on first read."""
+
+    RUNS = {
+        "flash": lambda p, pool: run_flash(p, pool, FlashConfig(size0=10, lives=3, seed=1)),
+        "sway": lambda p, pool: run_sway(p, pool, 1),
+        "nsga2": lambda p, pool: run_nsga2(p, Nsga2Config(pop_size=8, generations=2, seed=1)),
+        "random": lambda p, pool: run_random(p, 30, seed=1),
+    }
+
+    @pytest.mark.parametrize("algo", sorted(RUNS))
+    def test_records_are_the_rows_and_take_assignment(self, algo):
+        prob = make_synthetic("sphere2", 200)
+        res = self.RUNS[algo](prob, Pool(np.arange(prob.pool_size), prob.x))
+        assert res.evals == len(res.ids) == len(res.evaluated) == prob.eval_count
+        assert [e.id for e in res.evaluated] == res.ids.tolist()
+        assert np.array_equal([e.decisions for e in res.evaluated], res.x)
+        assert [e.objectives.values for e in res.evaluated] == list(map(tuple, res.y.tolist()))
+        row = {id(e): k for k, e in enumerate(res.evaluated)}
+        assert [row[id(e)] for e in res.best] == res.front.tolist()
+        assert [e.objectives.values for e in res.best] == list(map(tuple, res.y[res.front].tolist()))
+        # Built once and kept; a caller may assign them.
+        assert res.evaluated is res.evaluated and res.best is res.best
+        res.evals += 1
+        res.best = res.best + [res.evaluated[0]]
+        assert res.evals == len(res.ids) + 1
+        assert len(res.best) == len(res.front) + 1
+        # Results compare by identity, never by their arrays.
+        assert res != replace(res, ids=res.ids.copy())

@@ -508,7 +508,7 @@ class TestClassScores:
         # spans 751 m, so the first tile takes the shift and 302 skip it.
         problem = build_problem("monrp:50-4-5-4-90", 10_000, 5)
         run = run_nsga2(problem, Nsga2Config(100, 50, seed=5))
-        y = np.array([ev.objectives.values for ev in run.evaluated])
+        y = run.y
         schema = problem.schema
         keys, inverse, counts = np.unique(
             y, axis=0, return_inverse=True, return_counts=True

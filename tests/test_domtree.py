@@ -44,14 +44,6 @@ def indexed(objectives):
     return points_at([(i,) for i in range(len(objectives))], objectives)
 
 
-def run_matrices(result):
-    """Decision and objective matrices of an optimizer run's evaluations."""
-    return points_at(
-        [ev.decisions for ev in result.evaluated],
-        [ev.objectives.values for ev in result.evaluated],
-    )
-
-
 def parse_rendered(text):
     """Recover (nodes, leaves) from the indented listing: every leaf is one
     '(score)' line, every internal node contributes two branch lines."""
@@ -246,8 +238,8 @@ class TestTreeSizeComparison:
             prob = make_synthetic("sphere2", 400)
             fres = run_flash(prob.fresh(), whole_pool(prob), FlashConfig(size0=10, lives=5, seed=seed))
             nres = run_nsga2(prob.fresh(), Nsga2Config(pop_size=20, generations=10, seed=seed))
-            ft = build_domination_tree(*run_matrices(fres), prob.schema, prob.decision_names)
-            nt = build_domination_tree(*run_matrices(nres), prob.schema, prob.decision_names)
+            ft = build_domination_tree(fres.x, fres.y, prob.schema, prob.decision_names)
+            nt = build_domination_tree(nres.x, nres.y, prob.schema, prob.decision_names)
             flash_sizes.append(tree_stats(ft)[0])
             ea_sizes.append(tree_stats(nt)[0])
         assert statistics.median(flash_sizes) < statistics.median(ea_sizes)

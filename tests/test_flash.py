@@ -17,7 +17,6 @@ from conftest import (
     brute_binary_dominates,
     brute_front_partition,
     brute_indicator_dominates,
-    positions,
     reference_pick,
     senses_of,
     whole_pool,
@@ -47,10 +46,6 @@ def stepped_problem(n=80):
     return Problem.tabular("stepped", ("x",), schema, [(x,) for x in xs], objectives)
 
 
-def objectives(evaluated):
-    return np.array([e.objectives.values for e in evaluated], dtype=float)
-
-
 def constant_model(value, rows=4):
     return fit_arrays(np.arange(rows, dtype=float).reshape(rows, 1), np.full(rows, value))
 
@@ -66,9 +61,9 @@ class TestRunFlash:
         res = run_flash(prob, whole_pool(prob), FlashConfig(size0=20, seed=1))
         assert res.evals == 20
         assert res.trace == []
-        got = sorted(e.id for e in res.best)
-        front = front0(objectives(res.evaluated), prob.schema)
-        want = sorted(res.evaluated[k].id for k in front)
+        got = sorted(res.ids[res.front].tolist())
+        front = front0(res.y, prob.schema)
+        want = sorted(res.ids[front].tolist())
         assert got == want
 
     def test_constant_objectives_exhaust_the_pool(self):
@@ -78,7 +73,7 @@ class TestRunFlash:
         # and no life is ever lost.
         assert res.evals == 30
         assert res.trace[-1].lives == 3
-        assert len(res.best) == 30
+        assert len(res.front) == 30
 
     def test_one_eval_per_iteration(self):
         prob = grid_problem(40)
@@ -123,7 +118,7 @@ class TestRunFlash:
             config = FlashConfig(size0=6, lives=4, seed=seed)
             res = run_flash(prob, whole_pool(prob), config)
             senses = senses_of(prob.schema)
-            vectors = [e.objectives.values for e in res.evaluated]
+            vectors = res.y.tolist()
             size0 = len(vectors) - len(res.trace)
             lives = config.lives
             for k, rec in enumerate(res.trace, start=size0):
@@ -144,26 +139,24 @@ class TestRunFlash:
         config = FlashConfig(size0=12, lives=4, seed=7)
         a = run_flash(prob.fresh(), whole_pool(prob), config)
         b = run_flash(prob.fresh(), whole_pool(prob), config)
-        assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
+        assert a.ids.tolist() == b.ids.tolist()
         assert [t.__dict__ for t in a.trace] == [t.__dict__ for t in b.trace]
 
     def test_best_matches_bruteforce_front_of_evaluated(self):
         prob = make_synthetic("sphere2", 100)
         res = run_flash(prob, whole_pool(prob), FlashConfig(size0=8, lives=3, seed=8))
-        vectors = [e.objectives.values for e in res.evaluated]
-        oracle_front = brute_front_partition(vectors, senses_of(prob.schema))[0]
-        assert sorted(positions(res.best, res)) == oracle_front
+        oracle_front = brute_front_partition(res.y.tolist(), senses_of(prob.schema))[0]
+        assert sorted(res.front.tolist()) == oracle_front
 
     def test_incremental_front_equals_full_front(self):
         # The loop maintains front(best + new); spot-check it equals the
         # front over all evaluated points at every step.
         prob = make_synthetic("sphere2", 80)
         res = run_flash(prob, whole_pool(prob), FlashConfig(size0=6, lives=4, seed=9))
-        for upto in range(7, len(res.evaluated) + 1):
-            prefix = res.evaluated[:upto]
-            full = set(front0(objectives(prefix), prob.schema).tolist())
-            if upto == len(res.evaluated):
-                assert set(positions(res.best, res)) == full
+        for upto in range(7, len(res.y) + 1):
+            full = set(front0(res.y[:upto], prob.schema).tolist())
+            if upto == len(res.y):
+                assert set(res.front.tolist()) == full
 
     def test_oversized_initial_sample_rejected(self):
         prob = grid_problem(10)

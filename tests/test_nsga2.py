@@ -16,17 +16,12 @@ from flashopt.nsga2 import Nsga2Config, crowding_distance, pool_snapper, run_nsg
 from flashopt.synth import make_synthetic
 
 from conftest import (
-    positions,
     reference_crowding_distance,
     reference_random_plan,
     reference_rank_and_crowd,
     reference_select,
     reference_snap,
 )
-
-
-def objectives(evaluated):
-    return np.array([e.objectives.values for e in evaluated], dtype=float)
 
 
 def line_problem(n=1001):
@@ -75,11 +70,12 @@ class TestRunNsga2:
     def test_best_is_nondominated_subset_of_evaluated(self):
         prob = make_synthetic("sphere2", 300)
         res = run_nsga2(prob, Nsga2Config(pop_size=16, generations=5, seed=3))
-        rows = positions(res.best, res)  # raises unless every best is evaluated
+        rows = res.front.tolist()
         assert rows == sorted(rows)
-        for a in res.best:
-            for b in res.best:
-                assert not binary_dominates(a.objectives.values, b.objectives.values, prob.schema)
+        best = res.y[rows]  # raises unless every best row is evaluated
+        for a in best:
+            for b in best:
+                assert not binary_dominates(a, b, prob.schema)
 
     def test_elitism_front0_survives(self):
         # Anyone non-dominated in parents+offspring must sit in the next
@@ -87,16 +83,16 @@ class TestRunNsga2:
         # generation and check front-0 of all 2N evaluations is in best.
         prob = make_synthetic("sphere2", 400)
         res = run_nsga2(prob, Nsga2Config(pop_size=20, generations=1, seed=4))
-        full_front = front0(objectives(res.evaluated), prob.schema)
+        full_front = front0(res.y, prob.schema)
         if len(full_front) <= 20:
-            assert set(full_front.tolist()) <= set(positions(res.best, res))
+            assert set(full_front.tolist()) <= set(res.front.tolist())
 
     def test_deterministic(self):
         prob = make_synthetic("step", 300)
         a = run_nsga2(prob.fresh(), Nsga2Config(pop_size=12, generations=4, seed=5))
         b = run_nsga2(prob.fresh(), Nsga2Config(pop_size=12, generations=4, seed=5))
-        assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
-        assert [e.objectives for e in a.best] == [e.objectives for e in b.best]
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.y[a.front].tolist() == b.y[b.front].tolist()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -136,9 +132,9 @@ class TestRunNsga2:
         for seed in range(20):
             prob = line_problem(1001)
             res = run_nsga2(prob, Nsga2Config(pop_size=20, generations=10, seed=seed))
-            init = objectives(res.evaluated[:20])
+            init = res.y[:20]
             first = init[front0(init, prob.schema), 0].tolist()
-            final = [e.objectives.values[0] for e in res.best]
+            final = res.y[res.front, 0].tolist()
             gains.append(
                 (max(final) - min(final)) - (max(first) - min(first))
             )
@@ -149,16 +145,15 @@ class TestRunNsga2:
         prob = as_problem(inst)
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=4, seed=7))
         assert res.evals == 50
-        for e in res.evaluated:
-            plan = e.decisions.astype(int).tolist()
+        for plan in res.x.astype(int).tolist():
             assert is_feasible(inst, plan), plan
 
     def test_tabular_offspring_are_pool_rows(self):
         prob = make_synthetic("sphere2", 200)
         rows = [tuple(r) for r in prob.x.tolist()]
         res = run_nsga2(prob, Nsga2Config(pop_size=10, generations=3, seed=8))
-        for e in res.evaluated:
-            assert rows[e.id] == tuple(e.decisions.tolist())
+        for i, row in zip(res.ids.tolist(), res.x.tolist()):
+            assert rows[i] == tuple(row)
 
     @pytest.mark.parametrize("kind", ["tabular", "generative"])
     def test_start_is_drawn_through_sample_pool(self, monkeypatch, kind):
@@ -177,8 +172,8 @@ class TestRunNsga2:
         res = run_nsga2(prob, Nsga2Config(pop_size=8, generations=2, seed=4))
         assert draws == [(prob.kind, 8)]
         start = real(prob, 8, random.Random(4))
-        assert [e.id for e in res.evaluated[:8]] == start.ids.tolist()
-        assert np.array_equal([e.decisions for e in res.evaluated[:8]], start.x)
+        assert res.ids[:8].tolist() == start.ids.tolist()
+        assert np.array_equal(res.x[:8], start.x)
 
     def test_pop_above_the_table_is_rejected_by_the_draw(self):
         prob = make_synthetic("step", 6)
@@ -217,13 +212,10 @@ class TestMonrpRngContract:
         )
         scalar = run_nsga2(as_problem(inst), config)
 
-        def decisions(result):
-            return [ev.decisions.tolist() for ev in result.evaluated]
-
         rng = random.Random(seed)
         start = [list(map(float, reference_random_plan(inst, rng))) for _ in range(20)]
-        assert decisions(batch)[:20] == start
-        assert decisions(batch) == decisions(scalar)
+        assert batch.x[:20].tolist() == start
+        assert batch.x.tolist() == scalar.x.tolist()
 
 
 class TestSelectAgainstReference:

@@ -6,7 +6,7 @@ from flashopt.dominance import front0
 from flashopt.sway import project, run_sway, two_distant_points
 from flashopt.synth import make_synthetic
 
-from conftest import positions, whole_pool
+from conftest import whole_pool
 
 
 def points_on_line(n, lo=0.0, hi=1.0):
@@ -77,10 +77,9 @@ class TestRunSway:
         prob = Problem.tabular("trade", ("x",), schema, [(i,) for i in range(6)], objectives)
         res = run_sway(prob, whole_pool(prob), 1)
         assert res.evals == 6 + 2
-        assert sorted({e.id for e in res.evaluated}) == list(range(6))
-        y = np.array([e.objectives.values for e in res.evaluated])
-        assert 3 not in {e.id for e in res.best}
-        assert sorted(positions(res.best, res)) == front0(y, prob.schema).tolist()
+        assert sorted(set(res.ids.tolist())) == list(range(6))
+        assert 3 not in res.ids[res.front]
+        assert sorted(res.front.tolist()) == front0(res.y, prob.schema).tolist()
 
     def test_identical_objectives_emit_whole_pool(self):
         n = 40
@@ -102,7 +101,7 @@ class TestRunSway:
         assert two_distant_points(pool.x, pool.ids, 0) is None
         res = run_sway(prob, pool, 2)
         assert res.evals == n
-        assert [e.id for e in res.evaluated] == list(range(n))
+        assert res.ids.tolist() == list(range(n))
 
     def test_gradient_consistent_pool_stays_cheap(self):
         prob = make_synthetic("line", 4096)
@@ -119,7 +118,7 @@ class TestRunSway:
         prob = make_synthetic("sphere2", 300)
         a = run_sway(prob.fresh(), whole_pool(prob), 6)
         b = run_sway(prob.fresh(), whole_pool(prob), 6)
-        assert [e.id for e in a.evaluated] == [e.id for e in b.evaluated]
+        assert a.ids.tolist() == b.ids.tolist()
 
     def test_no_point_emitted_twice(self):
         # Leaves partition a subset of the pool, so a point id can recur in
@@ -128,6 +127,6 @@ class TestRunSway:
         prob = make_synthetic("sphere2", 500)
         res = run_sway(prob, whole_pool(prob), 11)
         counts = {}
-        for e in res.evaluated:
-            counts[e.id] = counts.get(e.id, 0) + 1
+        for i in res.ids.tolist():
+            counts[i] = counts.get(i, 0) + 1
         assert all(c <= 2 for c in counts.values())
