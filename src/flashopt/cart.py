@@ -58,12 +58,23 @@ class RegressionTree:
     feature_count: int
 
 
-def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
-    """Fit a tree on n decision rows x (n-by-f) and their targets y (length n)."""
+def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree | tuple[RegressionTree, ...]:
+    """Fit a tree on n decision rows x (n-by-f) and their targets y: one
+    tree for a length-n y, and for an n-by-m y a tuple of m trees, tree j
+    fitted on column j.
+
+    The m trees grow together as one forest: tree j's rows are the flat
+    targets j*n .. j*n + n - 1, the roots are the first m nodes, and the
+    one stable argsort of x serves every tree. Same-size nodes of all the
+    trees share a batch, and each node's split is computed on its own row
+    of the batch, so every tree is the one a fit on its column alone grows,
+    node for node. Its nodes keep their order of creation, which may differ
+    from that lone fit's where nodes of other trees share a level.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be n-by-f and y length n")
+    if x.ndim != 2 or y.ndim not in (1, 2) or x.shape[0] != y.shape[0] or 0 in y.shape[1:]:
+        raise ValueError("x must be n-by-f and y length n or n-by-m")
     if x.shape[0] == 0:
         raise ValueError("cannot fit a tree on zero rows")
     if not np.all(np.isfinite(y)):
@@ -73,19 +84,26 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
         raise ValueError("decisions must be finite")
 
     n_rows, f = x.shape
+    targets = y.T.ravel()  # tree j's targets at j*n_rows ..
+    m = targets.size // n_rows
     span = np.arange(n_rows)
-    # The node arrays, numbered in the order the nodes are made; size is
-    # n, and the other five catch up with it as each level starts.
-    feature, threshold, left, right, size, prediction = [], [], [], [], [n_rows], []
+    # The node arrays of the forest, numbered in the order the nodes are
+    # made; size and tree are n and the tree of each node, and the other
+    # five catch up with them as each level starts.
+    feature, threshold, left, right, prediction = [], [], [], [], []
+    size, tree = [n_rows] * m, list(range(m))
     # The frontier: its nodes, and their rows as one segment per node, in
     # ascending order in `rows`. `ords` holds each segment sorted by each
     # feature, and `xs` and `ys` the decisions and targets in that order.
-    nodes = [0]
-    rows = span
+    nodes = list(range(m))
+    rows = np.arange(m * n_rows)
     ords = np.argsort(x.T, axis=1, kind="stable")
     xs = np.take_along_axis(x.T, ords, axis=1)
-    ys = y[ords]
-    side = np.empty(n_rows, dtype=np.int8)
+    if m > 1:
+        ords = np.concatenate([ords + j * n_rows for j in range(m)], axis=1)
+        xs = np.tile(xs, m)
+    ys = targets[ords]
+    side = np.empty(m * n_rows, dtype=np.int8)
     while True:
         for a, v in zip((feature, threshold, left, right, prediction), (-1, np.nan, -1, -1, 0.0)):
             a += [v] * (len(size) - len(a))
@@ -99,7 +117,7 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
             start += size[node]
         for n, (segs, starts) in batches.items():
             cols = np.add.outer(starts, span[:n])
-            ysub = y[rows[cols]]
+            ysub = targets[rows[cols]]
             total = ysub.sum(axis=1)
             for s, mean in zip(segs, (total / n).tolist()):
                 prediction[nodes[s]] = mean
@@ -125,6 +143,7 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
                 feature[node], threshold[node] = feat, thr
                 left[node], right[node] = len(size), len(size) + 1
                 size += [p + 1, n - p - 1]
+                tree += [tree[node]] * 2
             if stay:
                 side[rows[cols[stay]]] = _DONE
         split = [node for node in nodes if left[node] >= 0]
@@ -141,8 +160,21 @@ def fit_arrays(x: np.ndarray, y: np.ndarray) -> RegressionTree:
         ords, xs, ys = (a.ravel()[take] for a in (ords, xs, ys))
         on = side[rows]
         rows = np.concatenate([rows[on == to] for to in (_LEFT, _RIGHT)])
-    arrays = (np.array(a) for a in (feature, threshold, left, right, size, prediction))
-    return RegressionTree(*arrays, feature_count=f)
+    arrays = [np.array(a) for a in (feature, threshold, left, right, size, prediction)]
+    if y.ndim == 1:
+        return RegressionTree(*arrays, feature_count=f)
+    # Each tree's nodes in forest order, renumbered from 0.
+    tree = np.array(tree)
+    local = np.empty_like(tree)
+    trees = []
+    for j in range(m):
+        ids = np.flatnonzero(tree == j)
+        local[ids] = np.arange(ids.size)
+        kept = [a[ids] for a in arrays]
+        for child in kept[2:4]:
+            child[child >= 0] = local[child[child >= 0]]
+        trees.append(RegressionTree(*kept, feature_count=f))
+    return tuple(trees)
 
 
 def _best_splits(xs, ys, ysub, total):
@@ -215,22 +247,29 @@ def _best_splits(xs, ys, ysub, total):
     return feature, pos, thresholds
 
 
-def predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Route every row of an n-by-f array to its leaf; return the leaf means."""
+def apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """Route every row of an n-by-f array to its leaf; return the leaf numbers.
+
+    Each node reads one column of x, so a column-major x routes fastest."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != tree.feature_count:
         raise ValueError("x must be n-by-feature_count")
-    feature, threshold, left, right, prediction = (
-        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.prediction)
+    feature, threshold, left, right = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right)
     )
-    out = np.empty(x.shape[0], dtype=float)
+    out = np.empty(x.shape[0], dtype=np.intp)
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if left[node] < 0:
-            out[rows] = prediction[node]
+            out[rows] = node
             continue
-        mask = x[rows, feature[node]] <= threshold[node]
-        stack.append((left[node], rows[mask]))
-        stack.append((right[node], rows[~mask]))
+        mask = x[:, feature[node]].take(rows) <= threshold[node]
+        stack.append((left[node], rows.compress(mask)))
+        stack.append((right[node], rows.compress(~mask)))
     return out
+
+
+def predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """Route every row of an n-by-f array to its leaf; return the leaf means."""
+    return tree.prediction[apply(tree, x)]

@@ -226,15 +226,21 @@ def _results_csv(rows: list[ResultRow]) -> str:
 
 def _dump_csv(problem: Problem, result: RunResult) -> str:
     """One evaluated point per line, in evaluation order, in the same
-    tabular format the loader reads (so `tree` can rebuild the run)."""
+    tabular format the loader reads (so `tree` can rebuild the run).
+
+    Each distinct cell, told apart by its float64 bits so that -0.0 keeps
+    its own repr, is formatted once, as the repr of a Python float."""
     header = list(problem.decision_names) + [
         ("-" if s is Sense.MIN else "+") + name
         for name, s in zip(problem.schema.names, problem.schema.senses)
     ]
     lines = [",".join(header)]
-    # One row at a time: a whole-run tolist() would hold every cell at once.
-    for row in np.hstack([result.x, result.y]):
-        lines.append(",".join(map(repr, row.tolist())))
+    cells = np.hstack([result.x, result.y])
+    bits, index = np.unique(cells.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    # One row at a time: a whole-run list would hold every cell at once.
+    for row in index.reshape(cells.shape):
+        lines.append(",".join(text[row]))
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,10 @@ import numpy as np
 
 from . import cart
 from .core import IterationRecord, ObjectiveSchema, Pool, Problem, RunResult
-from .dominance import domination_scores, front0
+from .dominance import _class_scores, front0
+
+# Largest mixed-radix key what_to_evaluate_next lets a candidate's leaves make.
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,12 @@ def run_flash(problem: Problem, pool: Pool, config: FlashConfig) -> RunResult:
     best = front0(y[: len(rows)], schema).tolist()
     lives = config.lives
     trace: list[IterationRecord] = []
+    columns = np.ascontiguousarray(pool.x.T)  # column-major candidates route fastest
 
     while lives > 0 and len(rows) < n:
-        x_train = pool.x[rows]
-        models = [cart.fit_arrays(x_train, y[: len(rows), j]) for j in range(len(schema))]
+        models = cart.fit_arrays(pool.x[rows], y[: len(rows)])
         cand = np.flatnonzero(unevaluated)
-        pick = what_to_evaluate_next(pool.x[cand], pool.ids[cand], models, schema)
+        pick = what_to_evaluate_next(columns.take(cand, axis=1).T, pool.ids[cand], models, schema)
         new = len(rows)
         evaluate([int(cand[pick])])
 
@@ -93,18 +96,37 @@ def what_to_evaluate_next(
 
     Predictions from one tree per objective form pseudo-points; the row
     returned is the indicator-best member of their non-dominated front,
-    ties broken by the lowest candidate id. front0 filters the raw
-    predicted rows and keeps copies of a front vector together; then
-    domination_scores groups only the front rows by exact vector, so each
-    distinct front vector is scored once, weighted by its number of copies.
-    Copies share front membership and domination score, so this is exact.
+    ties broken by the lowest candidate id.
+
+    Candidates that reach the same leaf of every tree form a cell and share
+    one predicted vector, so the front and the scores are taken over the
+    cells, each weighted by its number of candidates. Cells on the front
+    with equal vectors merge before scoring. Copies of a vector share front
+    membership and domination score, so this is exact.
     """
     if len(cand_ids) == 0:
         raise ValueError("no candidates to choose from")
     if len(models) != len(schema):
         raise ValueError("need exactly one model per objective")
-    preds = np.column_stack([cart.predict_many(m, cand_matrix) for m in models])
+    leaves = [cart.apply(model, cand_matrix) for model in models]
+    # One key per candidate, its leaf numbers as the digits of a mixed
+    # radix; the keys are renumbered densely before a digit would overflow.
+    key = np.zeros(len(cand_ids), dtype=np.int64)
+    span = 1
+    for model, leaf in zip(models, leaves):
+        if span * len(model.left) > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * len(model.left) + leaf
+        span *= len(model.left)
+    _, cell, counts = np.unique(key, return_inverse=True, return_counts=True)
+    member = np.empty(len(counts), dtype=np.intp)  # one candidate of each cell
+    member[cell] = np.arange(len(cell))
+    preds = np.column_stack([m.prediction[leaf[member]] for m, leaf in zip(models, leaves)])
     front = front0(preds, schema)
-    scores = domination_scores(preds[front], schema)
-    best = front[scores == scores.max()]
-    return int(best[np.argmin(np.asarray(cand_ids)[best])])
+    vectors, merged = np.unique(preds[front], axis=0, return_inverse=True)
+    merged = merged.reshape(-1)
+    weights = np.bincount(merged, weights=counts[front]).astype(counts.dtype)
+    scores = _class_scores(vectors, weights, schema)[merged]
+    rows = np.flatnonzero(np.isin(cell, front[scores == scores.max()]))
+    return int(rows[np.argmin(np.asarray(cand_ids)[rows])])

@@ -30,7 +30,6 @@ against the call-by-call sampler in tests/conftest.py guards it.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -163,11 +162,13 @@ def evaluate_plan(inst: MonrpInstance, releases) -> np.ndarray:
     return y
 
 
-def _check_plan(inst: MonrpInstance, release: Sequence[int]) -> None:
-    if len(release) != inst.N:
-        raise ValueError(f"plan length {len(release)} != N={inst.N}")
-    if min(release) < 0 or max(release) > inst.P:
+def _check_plans(inst: MonrpInstance, plans) -> np.ndarray:
+    x = np.array(plans, dtype=int, ndmin=2)
+    if x.ndim != 2 or x.shape[1] != inst.N:
+        raise ValueError(f"plan length {x.shape[-1]} != N={inst.N}")
+    if x.size and (x.min() < 0 or x.max() > inst.P):
         raise ValueError(f"plan has a release outside 0..{inst.P}")
+    return x
 
 
 def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> bool:
@@ -181,64 +182,63 @@ def is_feasible(inst: MonrpInstance, release: Sequence[int]) -> bool:
     return repair_plan(inst, release) == list(release)
 
 
-def _drop_precedence_violators(inst: MonrpInstance, release: list[int]) -> bool:
-    """Unimplement requirements whose dependencies are missing or too late,
-    and say whether any was.
-
-    Dropping a requirement can strand its own dependents, so iterate to a
-    fixpoint; each pass only removes requirements, so this terminates.
-    """
-    dropped = False
-    changed = True
-    while changed:
-        changed = False
-        for a, b in inst.deps:
-            if release[a] == 0:
-                continue
-            if release[b] == 0 or release[b] > release[a]:
-                release[a] = 0
-                changed = dropped = True
-    return dropped
-
-
-def _release_loads(inst: MonrpInstance, release: Sequence[int]) -> list[float]:
-    """The cost of each release 0..P in one pass. A load adds its members'
-    costs one by one in ascending requirement index, so it is the float
-    that sum() over the member list gives (up to Python 3.11, whose sum()
-    adds floats plainly in order)."""
-    load = [0.0] * (inst.P + 1)
-    for x, c in zip(release, inst.cost):
-        load[x] += c
-    return load
-
-
 def repair_plan(inst: MonrpInstance, release: Sequence[int]) -> list[int]:
-    """Deterministic feasibility repair of one plan, used on search offspring.
+    """Deterministic feasibility repair of one plan: repair_plans of one row."""
+    return repair_plans(inst, [release])[0].tolist()
+
+
+def repair_plans(inst: MonrpInstance, plans) -> np.ndarray:
+    """Deterministic feasibility repair of the plans in the rows of a (k, N)
+    integer matrix, used on search offspring; returns the repaired rows.
 
     Precedence violators are dropped, then over-budget releases evict their
     lowest-score requirements (ties to the lowest index). Eviction can break
     precedence again, so the two passes alternate until the plan checks out.
+
+    Each pass takes every unfinished row at once and gives the floats of a
+    plan-at-a-time loop. A release's load is the cumsum of its members'
+    costs in ascending index, where non-members add +0.0, which changes no
+    sum. Evictions walk the members in (score, index) order: subtracting
+    their costs with np.subtract.accumulate repeats load -= cost step by
+    step, and a member goes while every load before it is over budget.
+    Dropping precedence violators reaches one fixpoint in any order, since
+    a drop mends no other requirement's violation, so each round drops
+    every current violator of every row.
     """
-    _check_plan(inst, release)
-    release = list(release)
-    scores = inst.scores
-    while True:
-        _drop_precedence_violators(inst, release)
-        evicted = False
-        load = _release_loads(inst, release)
-        for k in range(1, inst.P + 1):
-            if load[k] <= inst.budget[k - 1]:
-                continue
-            members = sorted((scores[i], i) for i, x in enumerate(release) if x == k)
-            for _, victim in members:
-                if load[k] <= inst.budget[k - 1]:
-                    break
-                release[victim] = 0
-                load[k] -= inst.cost[victim]
-                evicted = True
-        if not evicted:
+    x = _check_plans(inst, plans)
+    cost = np.array(inst.cost)
+    budget = np.array(inst.budget)
+    order = np.lexsort((np.arange(inst.N), np.array(inst.scores)))
+    ranked_cost = cost[order]
+    releases = np.arange(1, inst.P + 1)
+    a, b = np.array(inst.deps, dtype=int).reshape(-1, 2).T
+    todo = np.arange(len(x))
+    while todo.size:
+        block = x[todo]
+        while a.size:
+            xa, xb = block[:, a], block[:, b]
+            rows, edges = np.nonzero((xa != 0) & ((xb == 0) | (xb > xa)))
+            if not rows.size:
+                break
+            block[rows, a[edges]] = 0
+        # (N, rows, P) terms, so that the cumsum runs down the requirements.
+        terms = np.where(block.T[:, :, None] == releases, cost[:, None, None], 0.0)
+        load = np.cumsum(terms, axis=0)[-1]
+        rows, over = np.nonzero(~(load <= budget))
+        x[todo] = block
+        if not rows.size:
             break
-    return release
+        # The members of each over-budget release, in (score, index) order.
+        ranked = block[rows][:, order] == releases[over, None]
+        left = np.where(ranked, ranked_cost, 0.0)
+        left[:, 1:] = left[:, :-1]
+        left[:, 0] = load[rows, over]
+        np.subtract.accumulate(left, axis=1, out=left)
+        evict = ranked & np.logical_and.accumulate(~(left <= budget[over, None]), axis=1)
+        pair, at = np.nonzero(evict)
+        x[todo[rows[pair]], order[at]] = 0
+        todo = todo[np.unique(rows[pair])]
+    return x
 
 
 CHUNK_WORDS = 1 << 16  # MT19937 words drawn from numpy per refill, at most
@@ -269,21 +269,26 @@ class _WordStream:
         words = self._bits.random_raw(self._size)
         values = words >> self._shift
         accepted = np.flatnonzero(values <= self._top)
-        self._words = words.tolist()
-        self._accepted = accepted.tolist()  # positions of words that randint keeps
+        # Memoryviews index to Python ints without converting every word.
+        self._words = memoryview(words)
+        self._accepted = memoryview(accepted)  # positions of words that randint keeps
         self._values = values[accepted].tolist()
         self._pos = 0  # next unread word of the chunk
+        self._next = 0  # next accepted position that may be unread
 
     def ints(self, n: int) -> list[int]:
         out: list[int] = []
         while len(out) < n:
-            j = bisect_left(self._accepted, self._pos)
+            j, acc = self._next, self._accepted
+            while j < len(acc) and acc[j] < self._pos:  # a word below() read
+                j += 1
             take = self._values[j : j + n - len(out)]
             if not take:  # the chunk's last words are all rejected draws
                 self._fill()
                 continue
             out += take
-            self._pos = self._accepted[j + len(take) - 1] + 1
+            self._next = j + len(take)
+            self._pos = acc[self._next - 1] + 1
         return out
 
     def below(self, m: int) -> int:
@@ -315,6 +320,14 @@ def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> np.ndarray:
     over-budget release and drops the dependents stranded by it, until no
     release is over budget. The draws are word-exact: see the module
     docstring.
+
+    A plan keeps the ascending member list of each release it evicts from
+    across its evictions. The plan meets precedence before each eviction,
+    so the requirements stranded by one are exactly the victim's
+    implemented transitive dependents. When every cost is an integer and
+    their sum is below 2^53, every load is an exact integer in any order of
+    addition, so an eviction just subtracts the costs it removes; otherwise
+    the loads are added up again in ascending index.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -322,40 +335,67 @@ def sample_plans(inst: MonrpInstance, rng: random.Random, n: int) -> np.ndarray:
     # on average, and evictions add a few; a short first chunk only refills.
     words = _WordStream(rng, inst.P, min(CHUNK_WORDS, n * (2 * inst.N + 16)))
     checks = list(zip(range(1, inst.P + 1), inst.budget))
+    cost, deps = inst.cost, inst.deps
+    dependents: list[list[int]] = [[] for _ in range(inst.N)]
+    for a, b in deps:
+        dependents[b].append(a)
+    span = range(inst.N)
+    exact = all(float(c).is_integer() for c in cost) and sum(map(abs, cost)) < 2**53
     plans = np.empty((n, inst.N), dtype=int)
     for row in plans:
         release = words.ints(inst.N)
         changed = True
         while changed:
             changed = False
-            for a, b in inst.deps:
+            for a, b in deps:
                 if release[a] == 0:
                     continue
                 if release[b] == 0 or release[b] > release[a]:
                     release[b] = release[a]
                     changed = True
         load = _release_loads(inst, release)
-        listed = 0  # the release whose members `group` lists, in ascending index
+        groups: dict[int, list[int]] = {}  # release -> its members, ascending
         while True:
             for over, cap in checks:
                 if load[over] > cap:
                     break
             else:
                 break
-            if over != listed:
-                listed = over
-                group = [i for i, x in enumerate(release) if x == over]
-            release[group.pop(words.below(len(group)))] = 0
-            if _drop_precedence_violators(inst, release):
+            group = groups.get(over)
+            if group is None:
+                group = groups[over] = [i for i in span if release[i] == over]
+            victim = group.pop(words.below(len(group)))
+            release[victim] = 0
+            dropped = [(victim, over)]
+            for v, _ in dropped:
+                for a in dependents[v]:
+                    k = release[a]
+                    if k:
+                        release[a] = 0
+                        dropped.append((a, k))
+                        if k in groups:
+                            groups[k].remove(a)
+            if exact:
+                for v, k in dropped:
+                    load[k] -= cost[v]
+            elif len(dropped) > 1:
                 load = _release_loads(inst, release)
-                listed = 0
             else:  # only this release changed: re-add its members in order
                 load[over] = 0.0
                 for i in group:
-                    load[over] += inst.cost[i]
+                    load[over] += cost[i]
         row[:] = release
     words.restore()
     return plans
+
+
+def _release_loads(inst: MonrpInstance, release: Sequence[int]) -> list[float]:
+    """The cost of each release 0..P in one pass, its members' costs added
+    one by one in ascending requirement index."""
+    load = [0.0] * (inst.P + 1)
+    for x, c in zip(release, inst.cost):
+        load[x] += c
+    return load
 
 
 def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
@@ -369,7 +409,7 @@ def as_problem(inst: MonrpInstance, name: str = "monrp") -> Problem:
         return evaluate_plan(inst, x.astype(int))
 
     def repairer(x: np.ndarray) -> np.ndarray:
-        return np.array([repair_plan(inst, row) for row in x.astype(int).tolist()], dtype=float)
+        return repair_plans(inst, x.astype(int)).astype(float)
 
     levels = tuple(float(v) for v in range(inst.P + 1))  # shared by every gene
     return Problem(

@@ -29,7 +29,12 @@ reference_best_splits is the earlier batched split search, which
 computed a gain at every (feature, node, position) of a block and masked
 the positions between equal values.
 reference_load_tabular is the earlier line-by-line table loader, which
-built one tuple per row and checked every cell on its own.
+built one tuple per row and checked every cell on its own, and
+reference_dump_csv the earlier run dump, which took the repr of every
+cell of every row. reference_random_plan, reference_repair_plan,
+reference_fit and reference_pick also check the sampler that keeps its
+loads across evictions, the block repair, the joint fit of m trees and
+the pick over leaf cells.
 """
 
 from __future__ import annotations
@@ -741,6 +746,18 @@ def reference_load_tabular(path: str | Path) -> Problem:
         raise LoadError(f"{path}: no data rows")
 
     return Problem.tabular(path.stem, decision_names, schema, rows, measured)
+
+
+def reference_dump_csv(problem: Problem, result) -> str:
+    """The earlier run dump: the repr of every cell, row by row."""
+    header = list(problem.decision_names) + [
+        ("-" if s is Sense.MIN else "+") + name
+        for name, s in zip(problem.schema.names, problem.schema.senses)
+    ]
+    lines = [",".join(header)]
+    for row in np.hstack([result.x, result.y]):
+        lines.append(",".join(map(repr, row.tolist())))
+    return "\n".join(lines) + "\n"
 
 
 def whole_pool(problem: Problem) -> Pool:

@@ -340,6 +340,84 @@ def split_blocks(draw):
     return xs[:, cols], ys[:, cols], ysub, ysub.sum(axis=1)
 
 
+@st.composite
+def joint_fits(draw):
+    """Grid decisions with 1..4 target columns: real values, small integers
+    with many ties, a constant column, or a copy of an earlier column."""
+    x = draw(grid_decisions(max_rows=60))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["real", "ties", "constant", "copy"]))
+        if kind == "real":
+            col = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(x), max_size=len(x)))
+        elif kind == "ties":
+            col = draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x)))
+        elif kind == "constant":
+            col = [draw(st.floats(-10, 10))] * len(x)
+        else:
+            col = columns[draw(st.integers(0, len(columns) - 1))] if columns else [0.0] * len(x)
+        columns.append([float(v) for v in col])
+    return x, np.array(columns).T
+
+
+class TestJointFit:
+    """fit_arrays on an n-by-m target matrix grows, for every column, the
+    tree that the node-at-a-time reference grows on that column alone,
+    compared in preorder: nodes of other trees that share a level may
+    number a tree's nodes in another order."""
+
+    @given(joint_fits())
+    @settings(max_examples=200, deadline=None)
+    def test_each_tree_matches_its_lone_reference(self, case):
+        x, y = case
+        trees = fit_arrays(x, y)
+        assert len(trees) == y.shape[1]
+        for tree, col in zip(trees, y.T):
+            assert tree_nodes(tree) == tree_nodes(reference_fit(x, col))
+            # A tree's node arrays stand alone: every child is its own node.
+            inner = tree.left >= 0
+            children = np.concatenate([tree.left[inner], tree.right[inner]])
+            assert sorted(children.tolist()) == list(range(1, len(tree.left)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tied_columns_on_hundreds_of_rows(self, m):
+        gen = np.random.default_rng(m)
+        x = gen.integers(0, 4, size=(400, 6)).astype(float)
+        x[:, 5] = x[:, 4]  # two tied decision columns
+        y = np.column_stack([gen.integers(0, 3 + j, size=400) for j in range(m)]).astype(float)
+        for tree, col in zip(fit_arrays(x, y), y.T):
+            assert tree_nodes(tree) == tree_nodes(reference_fit(x, col))
+
+    def test_one_column_matrix_gives_the_one_tree(self):
+        x, y = random_data(random.Random(4), 50, 2)
+        (tree,) = fit_arrays(x, y[:, None])
+        lone = fit_arrays(x, y)
+        for a, b in zip(
+            (tree.feature, tree.left, tree.right, tree.n, tree.prediction),
+            (lone.feature, lone.left, lone.right, lone.n, lone.prediction),
+        ):
+            assert a.tolist() == b.tolist()
+
+    def test_no_target_columns_rejected(self):
+        with pytest.raises(ValueError, match="n-by-m"):
+            fit_arrays(np.zeros((3, 1)), np.zeros((3, 0)))
+
+
+class TestApply:
+    @given(real_fits(), st.lists(st.lists(st.sampled_from(GRID + [-1.0, 3.0]), min_size=4,
+                                          max_size=4), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_leaf_numbers_route_like_one_row_at_a_time(self, case, probes):
+        x, y = case
+        tree = fit_arrays(x, y)
+        probes = np.array(probes)[:, : x.shape[1]]
+        leaves = cart.apply(tree, probes)
+        assert leaves.tolist() == [leaf_of(tree, row) for row in probes]
+        # A column-major copy routes the same way.
+        assert cart.apply(tree, np.asfortranarray(probes)).tolist() == leaves.tolist()
+        assert predict_many(tree, probes).tolist() == tree.prediction[leaves].tolist()
+
+
 class TestBestSplitsMatchReference:
     @given(split_blocks())
     @settings(max_examples=300, deadline=None)

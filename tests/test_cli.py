@@ -12,12 +12,12 @@ from flashopt.cli import (
     run_experiment,
     run_random,
 )
-from flashopt.core import Problem
+from flashopt.core import ObjectiveSchema, Problem, RunResult, Sense
 from flashopt.dominance import front0
 from flashopt.metrics import gd, igd
 from flashopt.synth import make_synthetic
 
-from conftest import brute_binary_dominates
+from conftest import brute_binary_dominates, reference_dump_csv
 
 
 def small_table(tmp_path, rows=100):
@@ -28,6 +28,40 @@ def small_table(tmp_path, rows=100):
     path = tmp_path / "prob.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+class TestDumpCsv:
+    """_dump_csv writes the bytes of the cell-by-cell reference formatter."""
+
+    @staticmethod
+    def dump_both(x, y):
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        problem = Problem(
+            name="p",
+            decision_names=tuple(f"d{j}" for j in range(x.shape[1])),
+            schema=ObjectiveSchema(
+                tuple(f"o{j}" for j in range(y.shape[1])),
+                tuple(Sense.MIN if j % 2 else Sense.MAX for j in range(y.shape[1])),
+            ),
+            sampler=lambda rng, n: None,
+            evaluator=lambda x: None,
+        )
+        result = RunResult(np.arange(len(x)), x, y, np.arange(len(x)))
+        return cli._dump_csv(problem, result), reference_dump_csv(problem, result)
+
+    def test_signed_zeros_and_awkward_floats(self):
+        cells = [-0.0, 0.0, 0.1 + 0.2, 5e-324, 1e16]
+        got, want = self.dump_both(
+            [cells, cells[::-1], [0.0, -0.0, 0.3, 1e16, 5e-324]],
+            [[-0.0, 0.0], [0.1 + 0.2, 0.3], [5e-324, -5e-324]],
+        )
+        assert got == want
+        assert "-0.0,0.0,0.30000000000000004,5e-324,1e+16" in got
+
+    def test_monrp_run_dump(self):
+        problem = build_problem("monrp:20-3-2-10-60", 200, 3)
+        result = cli.run_nsga2(problem, cli.Nsga2Config(8, 3, seed=3))
+        assert cli._dump_csv(problem, result) == reference_dump_csv(problem, result)
 
 
 class TestRunRandom:

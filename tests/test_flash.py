@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flashopt import dominance
+from flashopt import cart, dominance, flash
 from flashopt.cart import fit_arrays
 from flashopt.core import ObjectiveSchema, Problem, Sense
 from flashopt.dominance import front0
@@ -224,6 +225,49 @@ class TestWhatToEvaluateNext:
         schema = ObjectiveSchema(("f1", "f2", "f3"), (Sense.MIN,) * 3)
         cand_matrix = np.array([[1.0], [3.0], [0.0], [3.0], [2.0], [3.0]])
         assert what_to_evaluate_next(cand_matrix, list(range(6)), models, schema) == 2
+
+    def test_equal_vectors_of_two_leaf_cells_merge(self, monkeypatch):
+        # The vectors of test_front_vectors_weighed_by_their_copies, with d
+        # trained at x = 0 and x = 4: two leaf cells that predict d. Its
+        # three copies span both cells, and a still wins with a score of 3.
+        a, b, c, d = [0.0, 9.0, 6.0], [4.0, 3.0, 7.0], [5.0, 2.0, 9.0], [7.0, 6.0, 2.0]
+        x = np.arange(5.0).reshape(5, 1)
+        y = np.array([d, a, b, c, d])
+        models = fit_arrays(x, y)
+        ends = np.array([[0.0], [4.0]])
+        assert any(len(set(cart.apply(m, ends).tolist())) == 2 for m in models)
+        schema = ObjectiveSchema(("f1", "f2", "f3"), (Sense.MIN,) * 3)
+        cand_matrix = np.array([[1.0], [0.0], [4.0], [0.0], [2.0], [3.0]])
+        seen = []
+        scores = flash._class_scores
+
+        def spy(keys, counts, schema):
+            seen.append((keys.tolist(), counts.tolist()))
+            return scores(keys, counts, schema)
+
+        monkeypatch.setattr(flash, "_class_scores", spy)
+        assert what_to_evaluate_next(cand_matrix, list(range(6)), models, schema) == 0
+        assert reference_pick(cand_matrix, list(range(6)), models, schema) == 0
+        assert seen == [(sorted([a, b, c, d]), [1, 1, 1, 3])]
+
+    def test_leaf_key_wider_than_int64(self):
+        # Five trees of 8,191 nodes: the five leaf numbers of a candidate
+        # span more keys than an int64 holds, so the key is renumbered on
+        # the way, and the pick is still the reference's.
+        n = 4096
+        x = np.arange(float(n)).reshape(n, 1)
+        y = np.column_stack([(np.arange(n) * (2 * j + 1)) % n for j in range(5)]).astype(float)
+        models = fit_arrays(x, y)
+        assert math.prod(len(m.left) for m in models) > np.iinfo(np.int64).max
+        schema = ObjectiveSchema(
+            tuple(f"o{j}" for j in range(5)),
+            (Sense.MIN, Sense.MAX, Sense.MIN, Sense.MAX, Sense.MIN),
+        )
+        gen = np.random.default_rng(2)
+        cand_matrix = gen.integers(0, n, size=(300, 1)).astype(float)
+        ids = gen.permutation(10_000)[:300].tolist()
+        got = what_to_evaluate_next(cand_matrix, ids, models, schema)
+        assert got == reference_pick(cand_matrix, ids, models, schema)
 
     def test_single_candidate_returned(self, min2):
         prob = grid_problem(8)

@@ -15,6 +15,7 @@ from flashopt.monrp import (
     is_feasible,
     monrp_schema,
     repair_plan,
+    repair_plans,
     sample_plans,
 )
 
@@ -323,6 +324,46 @@ class TestRepairPlan:
         release = data.draw(st.lists(st.integers(0, inst.P), min_size=inst.N, max_size=inst.N))
         assert repair_plan(inst, release) == reference_repair_plan(inst, release)
 
+    @given(
+        st.integers(1, 15),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 60),
+        st.integers(10, 150),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_matches_reference_row_by_row_on_generated(
+        self, n, p, m, dep, funding, seed, data
+    ):
+        inst = generate(n, p, m, dep, funding, seed=seed)
+        plan = st.lists(st.integers(0, p), min_size=n, max_size=n)
+        plans = data.draw(st.lists(plan, min_size=1, max_size=12))
+        got = repair_plans(inst, np.array(plans))
+        assert got.tolist() == [reference_repair_plan(inst, row) for row in plans]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_matches_reference_row_by_row_on_fractional_costs(self, data):
+        inst = fractional_instance(data)
+        plan = st.lists(st.integers(0, inst.P), min_size=inst.N, max_size=inst.N)
+        plans = data.draw(st.lists(plan, min_size=1, max_size=12))
+        got = repair_plans(inst, plans)
+        assert got.tolist() == [reference_repair_plan(inst, row) for row in plans]
+
+    def test_block_leaves_its_input_alone(self):
+        inst = generate(20, 3, 2, 30, 40, seed=5)
+        plans = np.random.default_rng(5).integers(0, 4, size=(30, 20))
+        kept = plans.copy()
+        repair_plans(inst, plans)
+        assert np.array_equal(plans, kept)
+
+    def test_block_of_wrong_width_rejected(self):
+        inst = generate(5, 2, 2, 0, 90, seed=1)
+        with pytest.raises(ValueError, match="plan length 4"):
+            repair_plans(inst, np.zeros((3, 4), dtype=int))
+
     def test_loads_add_in_ascending_index(self):
         # 0.1 + 0.2 + 0.3 > 0.6 in floats, although 0.3 + 0.2 + 0.1 == 0.6.
         inst = MonrpInstance(
@@ -401,6 +442,46 @@ class TestSamplePlans:
         monkeypatch.setattr(monrp, "CHUNK_WORDS", chunk)
         inst = generate(30, 4, 3, 10, 80, seed=2)
         self.assert_same_as_reference(inst, 17, 60)
+
+    def test_plans_straddle_every_refill(self, monkeypatch):
+        # A chunk a few words longer than one plan's N draws: nearly every
+        # plan's draws run past a chunk's end, and its evictions read words
+        # that the next plan's draws must skip.
+        monkeypatch.setattr(monrp, "CHUNK_WORDS", 23)
+        inst = generate(20, 4, 3, 30, 30, seed=9)
+        self.assert_same_as_reference(inst, 5, 80)
+
+    def test_costs_past_two_to_the_53_add_again(self):
+        # 2^53 + 1.0 + 1.0 adds up to 2^53 in ascending order. Once the 2^53
+        # requirement goes, the release holds 1.0 + 1.0 = 2.0 > 1.5 and must
+        # evict again; subtracting 2^53 from the load would give 0.0 and
+        # keep both. Costs this large fail the exact-integer test, so the
+        # loads are added up again.
+        inst = MonrpInstance(
+            N=3, P=1, M=1,
+            cost=(2.0**53, 1.0, 1.0), risk=(0.0,) * 3, weight=(1.0,),
+            importance=((1.0,) * 3,), deps=(),
+            budget=(1.5,),
+        )
+        plans = self.assert_same_as_reference(inst, 2, 300)
+        assert [0, 1, 1] not in plans.tolist()
+
+    @given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_same_as_reference_on_huge_integer_costs(self, data, seed, count):
+        n = data.draw(st.integers(1, 8))
+        p = data.draw(st.integers(1, 3))
+        grain = st.sampled_from([1.0, 2.0, 3.0, 2.0**52, 2.0**53, 2.0**53 + 2.0])
+        edges = [(a, b) for a in range(n) for b in range(a)]
+        inst = MonrpInstance(
+            N=n, P=p, M=1,
+            cost=tuple(data.draw(st.lists(grain, min_size=n, max_size=n))),
+            risk=(1.0,) * n, weight=(1.0,), importance=((1.0,) * n,),
+            deps=tuple(data.draw(st.lists(st.sampled_from(edges), max_size=n, unique=True)))
+            if edges else (),
+            budget=(data.draw(st.sampled_from([1.5, 3.0, 2.0**52, 2.0**53, 2.0**54])),) * p,
+        )
+        self.assert_same_as_reference(inst, seed, count)
 
     def test_heavy_evictions_at_low_funding(self):
         inst = generate(15, 4, 3, 50, 10, seed=5)
