@@ -132,14 +132,24 @@ def nondominated_sort(y, schema: ObjectiveSchema) -> tuple[tuple[int, ...], ...]
     dominates a row in an earlier one; within a front rows ascend.
     Dominance is computed once per distinct objective vector; duplicate
     vectors always land in the same front.
+
+    Equal rows are grouped by a lexsort and a compare of neighbours. The
+    fronts are peeled into one rank per distinct vector: a vector whose
+    dominators are all ranked takes the next rank. Binary dominance is a
+    strict partial order, so every vector gets one. A stable argsort of
+    the rows' ranks then lists every front, each in ascending row order.
     """
     y = _matrix(y, schema)
     if len(y) == 0:
         raise ValueError("cannot sort an empty set")
-    keys, inverse = np.unique(y, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    d = len(keys)
-    oriented = oriented_matrix(keys, schema)
+    order = np.lexsort(y.T[::-1])
+    rows = y[order]
+    new = np.ones(len(y), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(y), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    oriented = oriented_matrix(rows[new], schema)
+    d = len(oriented)
 
     # d x d matrix: dominates[i, j] iff class i binary-dominates class j
     no_worse = np.ones((d, d), dtype=bool)
@@ -148,18 +158,21 @@ def nondominated_sort(y, schema: ObjectiveSchema) -> tuple[tuple[int, ...], ...]
         no_worse &= col[:, None] <= col[None, :]
         better |= col[:, None] < col[None, :]
     dominates = no_worse & better
-    dom_count = dominates.sum(axis=0)
 
-    remaining = np.ones(d, dtype=bool)
-    fronts: list[tuple[int, ...]] = []
-    while remaining.any():
-        current = remaining & (dom_count == 0)
-        if not current.any():
-            raise AssertionError("dominance relation produced a cycle")
-        fronts.append(tuple(np.flatnonzero(current[inverse]).tolist()))
-        remaining &= ~current
-        dom_count = dom_count - dominates[current].sum(axis=0)
-    return tuple(fronts)
+    rank = np.empty(d, dtype=np.intp)
+    count = dominates.sum(axis=0)  # unranked dominators; -1 once ranked
+    current = count == 0
+    r = 0
+    while current.any():
+        rank[current] = r
+        count -= dominates[current].sum(axis=0)
+        count[current] = -1
+        current = count == 0
+        r += 1
+    row_rank = rank[inverse]
+    members = np.argsort(row_rank, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(row_rank)).tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def front0(y, schema: ObjectiveSchema) -> np.ndarray:

@@ -69,8 +69,12 @@ class MonrpInstance:
             raise ValueError("importance rows must have N entries")
         if len(self.budget) != self.P:
             raise ValueError("budget must have P entries")
-        if any(b <= 0 for b in self.budget):
+        # Written so that NaN fails: sampling and repair would then
+        # disagree on which plans fit.
+        if not all(b > 0 for b in self.budget):
             raise ValueError("budgets must be positive")
+        if not all(c == c for c in self.cost):
+            raise ValueError("costs must not be NaN")
 
     @cached_property
     def scores(self) -> tuple[float, ...]:
@@ -237,7 +241,9 @@ def repair_plans(inst: MonrpInstance, plans) -> np.ndarray:
         evict = ranked & np.logical_and.accumulate(~(left <= budget[over, None]), axis=1)
         pair, at = np.nonzero(evict)
         x[todo[rows[pair]], order[at]] = 0
-        todo = todo[np.unique(rows[pair])]
+        evicted = np.zeros(len(todo), dtype=bool)
+        evicted[rows[pair]] = True
+        todo = todo[evicted]
     return x
 
 

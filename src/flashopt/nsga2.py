@@ -7,6 +7,13 @@ problems every child is snapped to the nearest not-yet-evaluated pool row
 (the nearest row of all, once every row is taken) so evaluations stay real
 measurements; generative problems repair children through their own repair
 hook. The evaluation budget is exact: pop_size * (generations + 1).
+
+A generation's children are snapped as one block, in child order. A child
+equal to a row after scaling is looked up by an integer key, since that
+row is at distance 0; only the others scan the table. The lookup is exact
+while no two distinct scaled values of a column are closer than 2^-500,
+checked once per table; below that gap a squared difference can underflow
+to 0, and every child is scanned.
 """
 
 from __future__ import annotations
@@ -56,38 +63,92 @@ def crowding_distance(y: np.ndarray) -> np.ndarray:
 
 def pool_snapper(
     table: np.ndarray, used: Sequence[int]
-) -> Callable[[Sequence[float]], int]:
-    """Snap function over a decision table's rows: each call returns the row
-    nearest to the decisions after min-max scaling, lowest index on ties,
-    among rows not yet returned or in used, or among all rows once none is.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Snap function over a decision table's rows: snap(children) takes a
+    (k, d) block of decisions and returns k row ids in child order, each
+    the row nearest to its child after min-max scaling, lowest index on
+    ties, among rows not yet returned or in used, or among all rows once
+    none is. A block gives the rows that k one-child calls would.
 
-    One contiguous array and one buffer per column; taken rows carry an inf
-    penalty on the first term, and the terms are added in numpy's own order
+    Lookup, then scan. A row whose scaled decisions equal the child's is at
+    distance 0, so it is the answer: the lowest-index open row with that
+    key, or the lowest-index row of any kind once the pool has run out.
+    Each column codes a value by its place among the column's sorted
+    distinct values; a row's key is its codes in mixed radix, and a stable
+    argsort of the keys lists each key's rows in ascending order, found by
+    searchsorted. Distance 0 means an equal key only while no squared
+    difference of two distinct values in a column underflows to 0, so the
+    lookup is checked once here: adjacent distinct values of each column
+    at least 2^-500 apart (a NaN, which only an overflowing span makes,
+    fails this), and keys that fit in int64. Otherwise every child is
+    scanned.
+
+    A child with no open row at distance 0 is scanned: one contiguous
+    array and one buffer per column; taken rows carry an inf penalty on
+    the first term, and the terms are added in numpy's own order
     (_ordered_sum), so each distance equals ((scaled - vec) ** 2).sum(axis=1).
-    A child is scaled with per-column float bounds, which gives the same
-    IEEE quotients as min_max_scale on an array.
+    Children are scaled with min_max_scale, as the table is.
     """
     lo, hi = table.min(axis=0), table.max(axis=0)
     cols = [np.ascontiguousarray(c) for c in min_max_scale(table, lo, hi).T]
-    scale = [(float(a), float(b - a)) for a, b in zip(lo, hi)]
     terms = [np.empty(len(table)) for _ in cols]
     penalty = np.zeros(len(table))
     penalty[list(used)] = np.inf
     open_rows = int(np.count_nonzero(penalty == 0))
 
-    def snap(decisions: Sequence[float]) -> int:
-        nonlocal open_rows
-        vec = [(v - a) / span if span > 0 else 0.0
-               for v, (a, span) in zip(decisions, scale)]
+    levels = []
+    key = np.zeros(len(table), dtype=np.int64)
+    for col in cols:
+        values, codes = np.unique(col, return_inverse=True)
+        levels.append(values)
+        key = key * len(values) + codes
+    lookup = (
+        all(np.all(np.diff(values) >= 2.0**-500) for values in levels)
+        and math.prod(map(len, levels)) < 2**63
+    )
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    cursor = np.arange(len(order) + 1)  # per key: first place that may be open
+
+    def distance_zero(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[first, last) places in order of each child's key rows; empty on a miss."""
+        key = np.zeros(len(vecs), dtype=np.int64)
+        hit = np.ones(len(vecs), dtype=bool)
+        for values, v in zip(levels, vecs.T):
+            at = np.minimum(np.searchsorted(values, v), len(values) - 1)
+            hit &= values[at] == v
+            key = key * len(values) + at
+        first = np.searchsorted(keys, key)
+        return first, np.where(hit, np.searchsorted(keys, key, side="right"), first)
+
+    def scan(vec: list[float]) -> int:
         for col, term, v in zip(cols, terms, vec):
             np.square(np.subtract(col, v, out=term), out=term)
         if open_rows:
             terms[0] += penalty
-        row = int(np.argmin(_ordered_sum(terms)))  # first minimum: lowest row
-        if penalty[row] == 0:
-            penalty[row] = np.inf
-            open_rows -= 1
-        return row
+        return int(_ordered_sum(terms).argmin())  # first minimum: lowest row
+
+    def snap(children: np.ndarray) -> np.ndarray:
+        nonlocal open_rows
+        vecs = min_max_scale(np.asarray(children, dtype=float), lo, hi)
+        first = last = np.zeros(len(vecs), dtype=int)
+        if lookup:
+            first, last = distance_zero(vecs)
+        rows = []
+        for vec, a, b in zip(vecs.tolist(), first.tolist(), last.tolist()):
+            if a < b and not open_rows:
+                row = int(order[a])
+            else:
+                p = int(cursor[a])
+                while p < b and penalty[order[p]]:
+                    p += 1
+                cursor[a] = p
+                row = int(order[p]) if p < b else scan(vec)
+            if penalty[row] == 0:
+                penalty[row] = np.inf
+                open_rows -= 1
+            rows.append(row)
+        return np.array(rows, dtype=int)
 
     return snap
 
@@ -155,7 +216,7 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
                 children.append(child)
         block = slice(first, first + pop)
         if tabular:
-            ids[block] = [snap(child) for child in children]
+            ids[block] = snap(children)
             x[block] = problem.x[ids[block]]
         else:
             children = np.array(children)

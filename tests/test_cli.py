@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -612,3 +615,35 @@ class TestMainStats:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{results}:3: non-numeric or non-finite cell 'abc' in column evals" in err
+
+
+class TestNoMaskedArrays:
+    """A plain np.unique, with no return_* flag, imports numpy.ma (about
+    0.7 MB of resident memory under numpy 2.4). Neither kind of repeat,
+    nor its tree call, should pull it in."""
+
+    SCRIPT = """
+import sys
+from flashopt.cli import main
+out = sys.argv[1]
+for name, problem, algos in (
+    ("step", "synth:step", "flash,sway,nsga2,random"),
+    ("monrp", "monrp:12-3-2-20-50", "flash,nsga2,random"),
+):
+    assert main(["run", "--problem", problem, "--algo", algos, "--repeats", "1",
+                 "--pool", "200", "--pop", "8", "--gens", "3", "--init", "8",
+                 "--lives", "3", "--out", f"{out}/{name}/results.csv"]) == 0
+    assert main(["tree", "--in", f"{out}/{name}", "--run-id", "0", "--algo", "nsga2"]) == 0
+print("numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+    def test_repeats_do_not_import_numpy_ma(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "False"

@@ -91,6 +91,33 @@ class TestGenerate:
             generate(50, 4, 5, 0, 0, seed=1)
 
 
+class TestInstanceValidation:
+    """Sampling keeps a release while load <= budget and repair evicts
+    until it holds, so a NaN budget or cost would make every sampled plan
+    that touches it fail is_feasible."""
+
+    @staticmethod
+    def three(cost=(1.0, 2.0, 3.0), budget=(4.0,)):
+        return MonrpInstance(
+            N=3, P=1, M=1, cost=cost, risk=(1.0, 1.0, 1.0), weight=(1.0,),
+            importance=((1.0, 2.0, 3.0),), deps=(), budget=budget,
+        )
+
+    @pytest.mark.parametrize("budget", [(float("nan"),), (0.0,), (-1.0,), (-float("inf"),)])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="^budgets must be positive$"):
+            self.three(budget=budget)
+
+    def test_nan_cost_is_rejected(self):
+        with pytest.raises(ValueError, match="^costs must not be NaN$"):
+            self.three(cost=(1.0, float("nan"), 3.0))
+
+    def test_boundary_values_still_sample_feasible_plans(self):
+        for inst in (self.three(budget=(float("inf"),)), self.three(cost=(1.0, float("inf"), 3.0))):
+            plans = sample_plans(inst, random.Random(1), 5).tolist()
+            assert all(is_feasible(inst, plan) for plan in plans)
+
+
 class TestEvaluatePlan:
     def test_schema_senses(self):
         schema = monrp_schema()

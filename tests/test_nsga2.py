@@ -235,26 +235,66 @@ class TestSelectAgainstReference:
 @st.composite
 def snap_cases(draw):
     """A table of 1-12 decision columns on a 0..3 grid, so duplicate rows
-    and distance ties are common, sometimes with a zero-span column; rows
-    taken beforehand; and more children than the table has rows, on a
+    and distance ties are common, sometimes with a zero-span column, and
+    sometimes with a column whose distinct values are 2^-520 to 2^-560
+    apart after scaling, where squared gaps go subnormal or underflow to 0;
+    rows taken beforehand; and more children than the table has rows, each
+    an exact copy of a table row (duplicates included) or a point of a
     half-step grid that reaches past the table's range, so the pool runs
-    out and the snap falls back to used rows."""
+    out and the snap falls back to used rows. The children come in blocks
+    of random sizes, empty ones included, so the pool may run out inside a
+    block."""
     k = draw(st.integers(1, 12))
     n = draw(st.integers(1, 40))
     table = draw(hnp.arrays(np.int8, (n, k), elements=st.integers(0, 3)))
     table = table.astype(float)
     if draw(st.booleans()):
         table[:, draw(st.integers(0, k - 1))] = 2.0
+    if draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        table[0, j] = 3.0
+        tiny = table[:, j] * 2.0 ** -draw(st.integers(520, 560))
+        table[:, j] = np.where(table[:, j] == 3.0, 1.0, tiny)
     used = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     count = n + draw(st.integers(1, 8))
-    children = draw(hnp.arrays(np.int8, (count, k), elements=st.integers(-1, 8)))
-    return table, used, [tuple(row) for row in (children / 2.0).tolist()]
+    grid = draw(hnp.arrays(np.int8, (count, k), elements=st.integers(-1, 8))) / 2.0
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count))
+    copied = draw(hnp.arrays(bool, count))
+    children = np.where(copied[:, None], table[copies], grid)
+    cuts = sorted(draw(st.lists(st.integers(0, count), max_size=5)))
+    return table, used, children, cuts
 
 
 class TestPoolSnapper:
     @given(snap_cases())
     @settings(max_examples=300, deadline=None)
     def test_same_rows_as_reference(self, case):
-        table, used, children = case
+        table, used, children, cuts = case
+        want = reference_snap(table, used, list(children))
         snap = pool_snapper(table, used)
-        assert [snap(c) for c in children] == reference_snap(table, used, children)
+        blocks = [snap(block).tolist() for block in np.split(children, cuts)]
+        assert [row for block in blocks for row in block] == want
+        one = pool_snapper(table, used)
+        assert [one(child[None]).tolist()[0] for child in children] == want
+
+    def test_underflowing_gap_turns_the_lookup_off(self):
+        # (2^-540)^2 underflows to 0, so row 0 is at distance 0 from a
+        # child equal to row 1, and it is the lower index of the two.
+        table = np.array([[2.0**-540], [0.0], [1.0]])
+        assert reference_snap(table, [], [(0.0,)]) == [0]
+        assert pool_snapper(table, [])(np.array([[0.0]])).tolist() == [0]
+
+    def test_keys_too_wide_for_int64_turn_the_lookup_off(self):
+        # 70 two-valued columns: a 2^70 key, whose wrap in int64 would
+        # make rows 0 and 1, which differ only in column 0, one key.
+        table = np.zeros((3, 70))
+        table[0, 0] = table[2] = 1.0
+        assert reference_snap(table, [], [table[1]]) == [1]
+        assert pool_snapper(table, [])(table[[1]]).tolist() == [1]
+
+    def test_pool_runs_out_inside_a_block(self):
+        table = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        children = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0], [0.4, 0.0]])
+        want = reference_snap(table, [3], list(children))
+        assert want == [1, 0, 2, 1, 2, 0]
+        assert pool_snapper(table, [3])(children).tolist() == want
