@@ -229,7 +229,8 @@ def _dump_csv(problem: Problem, result: RunResult) -> str:
     tabular format the loader reads (so `tree` can rebuild the run).
 
     Each distinct cell, told apart by its float64 bits so that -0.0 keeps
-    its own repr, is formatted once, as the repr of a Python float."""
+    its own repr, is formatted once, as the repr of a Python float. Rows
+    are joined 1,024 at a time, so no list holds every cell of a run."""
     header = list(problem.decision_names) + [
         ("-" if s is Sense.MIN else "+") + name
         for name, s in zip(problem.schema.names, problem.schema.senses)
@@ -238,9 +239,9 @@ def _dump_csv(problem: Problem, result: RunResult) -> str:
     cells = np.hstack([result.x, result.y])
     bits, index = np.unique(cells.view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    # One row at a time: a whole-run list would hold every cell at once.
-    for row in index.reshape(cells.shape):
-        lines.append(",".join(text[row]))
+    index = index.reshape(cells.shape)
+    for a in range(0, len(index), 1024):
+        lines += map(",".join, text[index[a:a + 1024]].tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -124,20 +124,26 @@ def nondominated_mask(oriented: np.ndarray) -> np.ndarray:
     return mask
 
 
-def nondominated_sort(y, schema: ObjectiveSchema) -> tuple[tuple[int, ...], ...]:
+def nondominated_sort(y, schema: ObjectiveSchema, enough: int | None = None
+                      ) -> tuple[tuple[int, ...], ...]:
     """Fast non-dominated sort of the rows of y into fronts of row indices,
     best front first.
 
     Front 0 is the non-dominated set; no row in a later front binary-
     dominates a row in an earlier one; within a front rows ascend.
     Dominance is computed once per distinct objective vector; duplicate
-    vectors always land in the same front.
+    vectors always land in the same front. With enough, peeling stops once
+    the fronts listed hold at least enough rows, and only those leading
+    fronts, a prefix of the full sort, are returned.
 
     Equal rows are grouped by a lexsort and a compare of neighbours. The
-    fronts are peeled into one rank per distinct vector: a vector whose
-    dominators are all ranked takes the next rank. Binary dominance is a
-    strict partial order, so every vector gets one. A stable argsort of
-    the rows' ranks then lists every front, each in ascending row order.
+    vectors are distinct, so one that is no worse than another on every
+    column is better on some column: dominance is the <= conjunction with
+    its diagonal cleared. The fronts are peeled into one rank per distinct
+    vector: a vector whose dominators are all ranked takes the next rank.
+    Binary dominance is a strict partial order, so every vector gets one
+    until enough rows are listed. A stable argsort of the rows' ranks then
+    lists the fronts, each in ascending row order.
     """
     y = _matrix(y, schema)
     if len(y) == 0:
@@ -150,28 +156,29 @@ def nondominated_sort(y, schema: ObjectiveSchema) -> tuple[tuple[int, ...], ...]
     inverse[order] = np.cumsum(new) - 1
     oriented = oriented_matrix(rows[new], schema)
     d = len(oriented)
+    size = np.diff(np.flatnonzero(np.append(new, True)))  # rows per vector
 
-    # d x d matrix: dominates[i, j] iff class i binary-dominates class j
-    no_worse = np.ones((d, d), dtype=bool)
-    better = np.zeros((d, d), dtype=bool)
-    for col in oriented.T:
-        no_worse &= col[:, None] <= col[None, :]
-        better |= col[:, None] < col[None, :]
-    dominates = no_worse & better
+    # d x d matrix: dominates[i, j] iff vector i binary-dominates vector j
+    dominates = oriented[:, 0, None] <= oriented[None, :, 0]
+    for col in oriented.T[1:]:
+        dominates &= col[:, None] <= col[None, :]
+    np.fill_diagonal(dominates, False)
 
-    rank = np.empty(d, dtype=np.intp)
+    rank = np.full(d, d)  # d: not listed
     count = dominates.sum(axis=0)  # unranked dominators; -1 once ranked
     current = count == 0
-    r = 0
-    while current.any():
+    stop = len(y) if enough is None else min(enough, len(y))
+    listed = r = 0
+    while listed < stop:
         rank[current] = r
+        listed += int(size[current].sum())
         count -= dominates[current].sum(axis=0)
         count[current] = -1
         current = count == 0
         r += 1
     row_rank = rank[inverse]
+    ends = np.cumsum(np.bincount(row_rank)[:r]).tolist()
     members = np.argsort(row_rank, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(row_rank)).tolist()
     return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 

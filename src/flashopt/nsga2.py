@@ -10,10 +10,13 @@ hook. The evaluation budget is exact: pop_size * (generations + 1).
 
 A generation's children are snapped as one block, in child order. A child
 equal to a row after scaling is looked up by an integer key, since that
-row is at distance 0; only the others scan the table. The lookup is exact
-while no two distinct scaled values of a column are closer than 2^-500,
-checked once per table; below that gap a squared difference can underflow
-to 0, and every child is scanned.
+row is at distance 0; only the others scan, over the rows still open when
+the block began. The lookup is exact while no two distinct scaled values
+of a column are closer than 2^-500, checked once per table; below that gap
+a squared difference can underflow to 0, and every child is scanned.
+
+Environmental selection sorts each population once, peeling fronts only
+until they hold pop_size rows, and crowds all of those fronts in one call.
 """
 
 from __future__ import annotations
@@ -44,20 +47,36 @@ class Nsga2Config:
             raise ValueError("generations must be at least 1")
 
 
-def crowding_distance(y: np.ndarray) -> np.ndarray:
-    """Classic crowding of the rows of one front's objective matrix:
-    boundary rows get +inf, interior rows sum the range-normalized gaps
-    between their sorted neighbors per objective."""
+def crowding_distance(y: np.ndarray, fronts: np.ndarray | None = None) -> np.ndarray:
+    """Classic crowding of each row of an objective matrix among the rows
+    with the same front label (one front when fronts is None): boundary
+    rows get +inf, interior rows sum the range-normalized gaps between
+    their sorted neighbors per objective.
+
+    One stable lexsort per objective orders the rows by label, then by
+    value, then by row, so each front is a run of the same positions in
+    every objective. A row gets the float a call on its front alone would
+    give, with the front's rows in the same relative order."""
     if len(y) == 0:
         raise ValueError("front must be nonempty")
+    labels = np.zeros(len(y), dtype=int) if fronts is None else np.asarray(fronts)
+    run = np.sort(labels)
+    new = np.ones(len(y) + 1, dtype=bool)  # new[k]: sorted place k starts a front
+    new[1:-1] = run[1:] != run[:-1]
+    edge = new[:-1] | new[1:]
+    first = np.flatnonzero(new)
+    size = np.diff(first)
+    lo, hi = np.repeat(first[:-1], size), np.repeat(first[1:] - 1, size)  # its front's ends
     dist = np.zeros(len(y))
+    gap = np.zeros(len(y))
     for values in y.T:
-        order = np.argsort(values, kind="stable")
+        order = np.lexsort((values, labels))
         col = values[order]
-        dist[order[[0, -1]]] = math.inf
-        span = col[-1] - col[0]
-        if span > 0:  # inf + a finite gap stays inf, so boundary points stay inf
-            dist[order[1:-1]] += (col[2:] - col[:-2]) / span
+        span = col[hi] - col[lo]
+        np.subtract(col[2:], col[:-2], out=gap[1:-1])
+        np.divide(gap, span, out=gap, where=span > 0)  # a zero-span front adds 0
+        gap[edge] = math.inf  # inf + a finite gap stays inf, so boundary points stay inf
+        dist[order] += gap
     return dist
 
 
@@ -83,18 +102,23 @@ def pool_snapper(
     fails this), and keys that fit in int64. Otherwise every child is
     scanned.
 
-    A child with no open row at distance 0 is scanned: one contiguous
-    array and one buffer per column; taken rows carry an inf penalty on
-    the first term, and the terms are added in numpy's own order
-    (_ordered_sum), so each distance equals ((scaled - vec) ** 2).sum(axis=1).
-    Children are scaled with min_max_scale, as the table is.
+    A child with no open row at distance 0 is scanned over the rows that
+    were open when its block began: the block compacts their scaled
+    columns once, in ascending row order, and a row taken earlier in the
+    block gets distance inf by assignment, not by an added penalty, which
+    would leave a NaN distance (from an overflowing span) at NaN, the
+    first minimum. An open row's distance is the float a whole-table scan
+    gives it. Once no row is open, the scan covers the whole table. Terms
+    are added in numpy's own order (_ordered_sum), so each distance equals
+    ((scaled - vec) ** 2).sum(axis=1). Children are scaled with
+    min_max_scale, as the table is.
     """
     lo, hi = table.min(axis=0), table.max(axis=0)
     cols = [np.ascontiguousarray(c) for c in min_max_scale(table, lo, hi).T]
     terms = [np.empty(len(table)) for _ in cols]
-    penalty = np.zeros(len(table))
-    penalty[list(used)] = np.inf
-    open_rows = int(np.count_nonzero(penalty == 0))
+    taken = np.zeros(len(table), dtype=bool)
+    taken[list(used)] = True
+    open_rows = len(table) - int(np.count_nonzero(taken))
 
     levels = []
     key = np.zeros(len(table), dtype=np.int64)
@@ -121,12 +145,10 @@ def pool_snapper(
         first = np.searchsorted(keys, key)
         return first, np.where(hit, np.searchsorted(keys, key, side="right"), first)
 
-    def scan(vec: list[float]) -> int:
+    def distances(cols: list[np.ndarray], terms: list[np.ndarray], vec: list[float]):
         for col, term, v in zip(cols, terms, vec):
             np.square(np.subtract(col, v, out=term), out=term)
-        if open_rows:
-            terms[0] += penalty
-        return int(_ordered_sum(terms).argmin())  # first minimum: lowest row
+        return _ordered_sum(terms)
 
     def snap(children: np.ndarray) -> np.ndarray:
         nonlocal open_rows
@@ -134,19 +156,35 @@ def pool_snapper(
         first = last = np.zeros(len(vecs), dtype=int)
         if lookup:
             first, last = distance_zero(vecs)
+        if open_rows:
+            open_idx = np.flatnonzero(~taken)
+            open_cols = [col[open_idx] for col in cols]
+            open_terms = [np.empty(len(open_idx)) for _ in cols]
+            slot = np.cumsum(~taken) - 1  # an open row's place in open_idx
+            gone = np.empty(len(open_idx), dtype=int)  # places taken in this block
+        k = 0
         rows = []
         for vec, a, b in zip(vecs.tolist(), first.tolist(), last.tolist()):
             if a < b and not open_rows:
                 row = int(order[a])
             else:
                 p = int(cursor[a])
-                while p < b and penalty[order[p]]:
+                while p < b and taken[order[p]]:
                     p += 1
                 cursor[a] = p
-                row = int(order[p]) if p < b else scan(vec)
-            if penalty[row] == 0:
-                penalty[row] = np.inf
+                if p < b:
+                    row = int(order[p])
+                elif open_rows:
+                    dist = distances(open_cols, open_terms, vec)
+                    dist[gone[:k]] = np.inf
+                    row = int(open_idx[dist.argmin()])  # first minimum: lowest row
+                else:
+                    row = int(distances(cols, terms, vec).argmin())
+            if not taken[row]:
+                taken[row] = True
                 open_rows -= 1
+                gone[k] = slot[row]
+                k += 1
             rows.append(row)
         return np.array(rows, dtype=int)
 
@@ -234,8 +272,10 @@ def run_nsga2(problem: Problem, config: Nsga2Config) -> RunResult:
 
 def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):
     """Environmental selection over the rows of y with one non-dominated
-    sort: whole fronts first, the boundary front truncated by descending
-    crowding distance (ties to the lowest row).
+    sort, peeled only as far as the fronts that fill the population, and
+    one crowding call over those fronts: whole fronts first, the boundary
+    front truncated by descending crowding distance (ties to the lowest
+    row).
 
     Returns (chosen, rank, crowd): the chosen rows in selection order, and
     the front rank and crowding distance that each chosen row has within
@@ -244,22 +284,19 @@ def _select(y: np.ndarray, pop_size: int, schema: ObjectiveSchema):
     member of the previous, whole front; only a truncated front is crowded
     again, among its own survivors.
     """
+    fronts = nondominated_sort(y, schema, enough=pop_size)
+    sizes = [len(front) for front in fronts]
+    members = np.concatenate(fronts)
+    labels = np.repeat(np.arange(len(fronts)), sizes)
     rank = np.zeros(len(y), dtype=int)
     crowd = np.zeros(len(y))
-    chosen: list[int] = []
-    for r, front in enumerate(nondominated_sort(y, schema)):
-        members = np.array(front)
-        dists = crowding_distance(y[members])
-        room = pop_size - len(chosen)
-        if len(members) > room:
-            kept = np.argsort(-dists, kind="stable")[:room]
-            chosen.extend(members[kept].tolist())
-            members = members[np.sort(kept)]
-            dists = crowding_distance(y[members])
-        else:
-            chosen.extend(front)
-        rank[members] = r
-        crowd[members] = dists
-        if len(chosen) == pop_size:
-            break
-    return np.array(chosen), rank, crowd
+    rank[members] = labels
+    crowd[members] = dists = crowding_distance(y[members], labels)
+    if len(members) <= pop_size:
+        return members, rank, crowd
+    whole = len(members) - sizes[-1]  # rows of the fronts before the last
+    kept = np.argsort(-dists[whole:], kind="stable")[: pop_size - whole]
+    boundary = members[whole:]
+    survivors = boundary[np.sort(kept)]
+    crowd[survivors] = crowding_distance(y[survivors])
+    return np.concatenate([members[:whole], boundary[kept]]), rank, crowd

@@ -31,7 +31,8 @@ the positions between equal values.
 reference_load_tabular is the earlier line-by-line table loader, which
 built one tuple per row and checked every cell on its own, and
 reference_dump_csv the earlier run dump, which took the repr of every
-cell of every row. reference_random_plan, reference_repair_plan,
+cell of every row, and reference_synthetic the earlier synthetic tables,
+built as lists of Python floats. reference_random_plan, reference_repair_plan,
 reference_fit and reference_pick also check the sampler that keeps its
 loads across evictions, the block repair, the joint fit of m trees and
 the pick over leaf cells.
@@ -758,6 +759,36 @@ def reference_dump_csv(problem: Problem, result) -> str:
     for row in np.hstack([result.x, result.y]):
         lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
+
+
+def reference_synthetic(name: str, n: int) -> Problem:
+    """The earlier list-built synthetic tables: line, sphere2 or step of n
+    rows, one Python float at a time."""
+    if name == "line":
+        xs = [i / (n - 1) for i in range(n)]
+        schema = ObjectiveSchema(("cost", "value"), (Sense.MIN, Sense.MAX))
+        return Problem.tabular(
+            "line", ("x",), schema, [(x,) for x in xs], [(x, 1.0 - x) for x in xs]
+        )
+    k = math.ceil(math.sqrt(n))
+    grid = [i / (k - 1) for i in range(k)]
+    rows = [(x, y) for x in grid for y in grid][:n]
+    if name == "sphere2":
+        schema = ObjectiveSchema(("near_a", "near_b"), (Sense.MIN, Sense.MIN))
+        objectives = [
+            ((x - 0.25) ** 2 + (y - 0.25) ** 2, (x - 0.75) ** 2 + (y - 0.75) ** 2)
+            for x, y in rows
+        ]
+    else:
+        schema = ObjectiveSchema(("tier", "residual"), (Sense.MIN, Sense.MIN))
+        objectives = [
+            (
+                math.floor(8 * ((x - 0.25) ** 2 + (y - 0.25) ** 2)) / 8.0,
+                math.floor(1000 * ((x - 0.75) ** 2 + (y - 0.75) ** 2)) / 1000.0,
+            )
+            for x, y in rows
+        ]
+    return Problem.tabular(name, ("x", "y"), schema, rows, objectives)
 
 
 def whole_pool(problem: Problem) -> Pool:

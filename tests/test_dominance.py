@@ -262,6 +262,16 @@ class TestNondominatedSort:
             y.tolist(), senses_of(schema)
         )
 
+    @given(grid_sets(min_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_enough_lists_the_shortest_prefix_that_holds_it(self, case):
+        y, schema = case
+        fronts = reference_nondominated_sort(y, schema)
+        held = np.cumsum([len(f) for f in fronts])
+        for k in range(1, len(y) + 1):
+            want = fronts[: int(np.searchsorted(held, k)) + 1]
+            assert nondominated_sort(y, schema, enough=k) == want
+
     def test_front0_agrees_with_partition(self, rng):
         schema = schema_for(3)
         y = matrix([tuple(rng.random() for _ in range(3)) for _ in range(80)])

@@ -117,13 +117,13 @@ class TestRunNsga2:
         calls = []
         real = nsga2.nondominated_sort
 
-        def counting(y, schema):
-            calls.append(len(y))
-            return real(y, schema)
+        def counting(y, schema, **kwargs):
+            calls.append((len(y), kwargs.get("enough")))
+            return real(y, schema, **kwargs)
 
         monkeypatch.setattr(nsga2, "nondominated_sort", counting)
         run_nsga2(make_synthetic("sphere2", 300), Nsga2Config(12, 5, seed=3))
-        assert calls == [12] + [24] * 5
+        assert calls == [(12, 12)] + [(24, 12)] * 5
 
     def test_final_front_spans_wider_extremes_than_start(self):
         # On the (x, 1-x) trade-off the crowding pressure should widen the
@@ -233,6 +233,32 @@ class TestSelectAgainstReference:
 
 
 @st.composite
+def labelled_fronts(draw):
+    """An objective matrix of 1-4 objectives on a 0..3 grid, sometimes with
+    a constant column, and a front label per row from a few labels, so
+    1- and 2-row fronts and zero-span columns within a front are common;
+    labels come in any row order."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    y = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 3))).astype(float)
+    if draw(st.booleans()):
+        y[:, draw(st.integers(0, m - 1))] = 1.0
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, draw(st.integers(0, n)))))
+    return y, labels
+
+
+class TestCrowdingByFront:
+    @given(labelled_fronts())
+    @settings(max_examples=300, deadline=None)
+    def test_each_front_as_if_crowded_alone(self, case):
+        y, labels = case
+        got = crowding_distance(y, labels)
+        for label in np.unique(labels):
+            rows = np.flatnonzero(labels == label)
+            assert got[rows].tolist() == reference_crowding_distance(y[rows])
+
+
+@st.composite
 def snap_cases(draw):
     """A table of 1-12 decision columns on a 0..3 grid, so duplicate rows
     and distance ties are common, sometimes with a zero-span column, and
@@ -291,6 +317,26 @@ class TestPoolSnapper:
         table[0, 0] = table[2] = 1.0
         assert reference_snap(table, [], [table[1]]) == [1]
         assert pool_snapper(table, [])(table[[1]]).tolist() == [1]
+
+    def test_overflowing_span_never_picks_a_taken_row(self):
+        # The column's span overflows to inf, so every scaled distance is
+        # NaN. An inf penalty added to a NaN left the taken row 0 at NaN,
+        # the first minimum; taken rows are now excluded by assignment.
+        table = np.array([[-1e308], [1e308], [0.0], [5.0]])
+        children = np.array([[1e308], [1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_snap(table, [0], list(children))
+            got = pool_snapper(table, [0])(children).tolist()
+        assert want == [1, 2]
+        assert got == want
+
+    def test_child_past_the_float_range_takes_an_open_row(self):
+        # Every squared distance overflows to inf. The taken row 0 used to
+        # be the first of the tied minima, as it is in reference_snap.
+        table = np.array([[0.0], [1.0], [2.0]])
+        with np.errstate(over="ignore"):
+            assert reference_snap(table, [0], [(1e308,)]) == [0]
+            assert pool_snapper(table, [0])(np.array([[1e308]])).tolist() == [1]
 
     def test_pool_runs_out_inside_a_block(self):
         table = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

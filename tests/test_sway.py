@@ -109,6 +109,12 @@ class TestRunSway:
         # 2 log2(4096) + sqrt(4096) = 88
         assert res.evals <= 88 + 4
 
+    def test_pool_of_two_measures_both_rows(self):
+        prob = make_synthetic("line", 50)
+        res = run_sway(prob, Pool(np.array([7, 30]), prob.x[[7, 30]]), 3)
+        assert set(res.ids.tolist()) == {7, 30}
+        assert res.evals == prob.eval_count
+
     def test_pool_of_one_rejected(self):
         prob = make_synthetic("line", 50)
         with pytest.raises(ValueError):
