@@ -139,6 +139,15 @@ def min_max_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(nz, (x - lo) / np.where(nz, span, 1.0), 0.0)
 
 
+def row_keys(x: np.ndarray) -> np.ndarray:
+    """One void value per row of a 2-D array: the row's float bytes once
+    + 0.0 has made every -0.0 a +0.0. Rows of non-NaN floats share a key
+    exactly when they are equal, so np.unique and searchsorted on the keys
+    group and find equal rows, in byte order rather than numeric order."""
+    x = np.ascontiguousarray(x + 0.0)
+    return x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+
+
 class LoadError(ValueError):
     """Raised when a tabular problem file is malformed."""
 
@@ -336,13 +345,11 @@ def load_tabular(path: str | Path) -> Problem:
                 break
             rows.append(row)
         table = np.array(rows).reshape(len(rows), width)
-    # A duplicate before the first bad line is the first fault. Rows are
-    # grouped by their bytes once + 0.0 has made every -0.0 a +0.0: on
-    # finite cells, equal bytes then mean equal floats. With return_index
-    # np.unique sorts stably, so first holds the earliest row of each group.
+    # A duplicate before the first bad line is the first fault. With
+    # return_index np.unique sorts stably, so first holds the earliest row
+    # of each group of equal decisions.
     x, y = table[:, decision_idx], table[:, objective_idx]
-    keys = np.ascontiguousarray(x + 0.0).view(np.dtype((np.void, x.itemsize * x.shape[1])))
-    _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    _, first, group = np.unique(row_keys(x), return_index=True, return_inverse=True)
     owner = first[group]
     conflicts = np.flatnonzero((y != y[owner]).any(axis=1))
     if len(conflicts):

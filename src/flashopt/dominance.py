@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import ObjectiveSchema, Sense
+from .core import ObjectiveSchema, Sense, row_keys
 
 # Rows per tile of the indicator-wins kernel. A tile holds its rows
 # against every column to the right, so fewer rows keep its buffers
@@ -136,27 +136,24 @@ def nondominated_sort(y, schema: ObjectiveSchema, enough: int | None = None
     the fronts listed hold at least enough rows, and only those leading
     fronts, a prefix of the full sort, are returned.
 
-    Equal rows are grouped by a lexsort and a compare of neighbours. The
-    vectors are distinct, so one that is no worse than another on every
-    column is better on some column: dominance is the <= conjunction with
-    its diagonal cleared. The fronts are peeled into one rank per distinct
-    vector: a vector whose dominators are all ranked takes the next rank.
-    Binary dominance is a strict partial order, so every vector gets one
-    until enough rows are listed. A stable argsort of the rows' ranks then
-    lists the fronts, each in ascending row order.
+    Equal rows are grouped by np.unique on their row_keys, in byte order:
+    fronts are listed per row, so the order of the vectors does not
+    matter. The vectors are distinct, so one that is no worse than another
+    on every column is better on some column: dominance is the <=
+    conjunction with its diagonal cleared. The fronts are peeled into one
+    rank per distinct vector: a vector whose dominators are all ranked
+    takes the next rank. Binary dominance is a strict partial order, so
+    every vector gets one until enough rows are listed. A stable argsort
+    of the rows' ranks then lists the fronts, each in ascending row order.
     """
     y = _matrix(y, schema)
     if len(y) == 0:
         raise ValueError("cannot sort an empty set")
-    order = np.lexsort(y.T[::-1])
-    rows = y[order]
-    new = np.ones(len(y), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(y), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    oriented = oriented_matrix(rows[new], schema)
+    _, first, inverse, size = np.unique(
+        row_keys(y), return_index=True, return_inverse=True, return_counts=True
+    )
+    oriented = oriented_matrix(y[first], schema)
     d = len(oriented)
-    size = np.diff(np.flatnonzero(np.append(new, True)))  # rows per vector
 
     # d x d matrix: dominates[i, j] iff vector i binary-dominates vector j
     dominates = oriented[:, 0, None] <= oriented[None, :, 0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveSchema, min_max_scale
+from .core import ObjectiveSchema, min_max_scale, row_keys
 from .dominance import front0, _matrix
 
 
@@ -39,7 +39,7 @@ def reference_front(y, schema: ObjectiveSchema) -> ReferenceFront:
     if len(y) == 0:
         raise ValueError("cannot build a reference front from nothing")
     y = _matrix(y, schema)
-    _, first = np.unique(y, axis=0, return_index=True)
+    _, first = np.unique(row_keys(y), return_index=True)
     keys = y[np.sort(first)]
     front = keys[front0(keys, schema)]
     return ReferenceFront(

@@ -9,11 +9,12 @@ measurements; generative problems repair children through their own repair
 hook. The evaluation budget is exact: pop_size * (generations + 1).
 
 A generation's children are snapped as one block, in child order. A child
-equal to a row after scaling is looked up by an integer key, since that
-row is at distance 0; only the others scan, over the rows still open when
-the block began. The lookup is exact while no two distinct scaled values
-of a column are closer than 2^-500, checked once per table; below that gap
-a squared difference can underflow to 0, and every child is scanned.
+equal to a row after scaling is looked up by its row_keys bytes, since
+that row is at distance 0; only the others scan, over the rows still open
+when the block began. The lookup is exact while no two distinct scaled
+values of a column are closer than 2^-500, checked once per table; below
+that gap a squared difference can underflow to 0, and every child is
+scanned.
 
 Environmental selection sorts each population once, peeling fronts only
 until they hold pop_size rows, and crowds all of those fronts in one call.
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ObjectiveSchema, Problem, ProblemKind, RunResult, min_max_scale
+from .core import ObjectiveSchema, Problem, ProblemKind, RunResult, min_max_scale, row_keys
 from .dominance import _ordered_sum, front0, nondominated_sort
 
 CROSSOVER_PROB = 0.9  # per pair of parents; each gene then mutates with 1 / arity
@@ -90,17 +91,15 @@ def pool_snapper(
     none is. A block gives the rows that k one-child calls would.
 
     Lookup, then scan. A row whose scaled decisions equal the child's is at
-    distance 0, so it is the answer: the lowest-index open row with that
-    key, or the lowest-index row of any kind once the pool has run out.
-    Each column codes a value by its place among the column's sorted
-    distinct values; a row's key is its codes in mixed radix, and a stable
-    argsort of the keys lists each key's rows in ascending order, found by
-    searchsorted. Distance 0 means an equal key only while no squared
+    distance 0, so it is the answer: the lowest-index open row with the
+    child's row_keys, or the lowest-index row of any kind once the pool
+    has run out. A stable argsort of the table's keys lists each key's
+    rows in ascending order, found by two searchsorted calls and walked
+    past taken rows. Distance 0 means an equal key only while no squared
     difference of two distinct values in a column underflows to 0, so the
-    lookup is checked once here: adjacent distinct values of each column
-    at least 2^-500 apart (a NaN, which only an overflowing span makes,
-    fails this), and keys that fit in int64. Otherwise every child is
-    scanned.
+    lookup is checked once here: sorted adjacent values of each column
+    equal or at least 2^-500 apart (a NaN, which only an overflowing span
+    makes, fails this). Otherwise every child is scanned.
 
     A child with no open row at distance 0 is scanned over the rows that
     were open when its block began: the block compacts their scaled
@@ -108,42 +107,25 @@ def pool_snapper(
     block gets distance inf by assignment, not by an added penalty, which
     would leave a NaN distance (from an overflowing span) at NaN, the
     first minimum. An open row's distance is the float a whole-table scan
-    gives it. Once no row is open, the scan covers the whole table. Terms
-    are added in numpy's own order (_ordered_sum), so each distance equals
-    ((scaled - vec) ** 2).sum(axis=1). Children are scaled with
-    min_max_scale, as the table is.
+    gives it. When every open distance is inf, the child takes the lowest
+    open row, as a call with the child alone would. Once no row is open,
+    the scan covers the whole table. Terms are added in numpy's own order
+    (_ordered_sum), so each distance equals ((scaled - vec) ** 2).sum(axis=1).
+    Children are scaled with min_max_scale, as the table is.
     """
     lo, hi = table.min(axis=0), table.max(axis=0)
-    cols = [np.ascontiguousarray(c) for c in min_max_scale(table, lo, hi).T]
+    scaled = min_max_scale(table, lo, hi)
+    cols = [np.ascontiguousarray(c) for c in scaled.T]
     terms = [np.empty(len(table)) for _ in cols]
     taken = np.zeros(len(table), dtype=bool)
     taken[list(used)] = True
     open_rows = len(table) - int(np.count_nonzero(taken))
 
-    levels = []
-    key = np.zeros(len(table), dtype=np.int64)
-    for col in cols:
-        values, codes = np.unique(col, return_inverse=True)
-        levels.append(values)
-        key = key * len(values) + codes
-    lookup = (
-        all(np.all(np.diff(values) >= 2.0**-500) for values in levels)
-        and math.prod(map(len, levels)) < 2**63
-    )
-    order = np.argsort(key, kind="stable")
-    keys = key[order]
-    cursor = np.arange(len(order) + 1)  # per key: first place that may be open
-
-    def distance_zero(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """[first, last) places in order of each child's key rows; empty on a miss."""
-        key = np.zeros(len(vecs), dtype=np.int64)
-        hit = np.ones(len(vecs), dtype=bool)
-        for values, v in zip(levels, vecs.T):
-            at = np.minimum(np.searchsorted(values, v), len(values) - 1)
-            hit &= values[at] == v
-            key = key * len(values) + at
-        first = np.searchsorted(keys, key)
-        return first, np.where(hit, np.searchsorted(keys, key, side="right"), first)
+    gaps = np.diff(np.sort(scaled, axis=0), axis=0)
+    lookup = np.all((gaps == 0) | (gaps >= 2.0**-500))
+    keys = row_keys(scaled)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
 
     def distances(cols: list[np.ndarray], terms: list[np.ndarray], vec: list[float]):
         for col, term, v in zip(cols, terms, vec):
@@ -155,7 +137,9 @@ def pool_snapper(
         vecs = min_max_scale(np.asarray(children, dtype=float), lo, hi)
         first = last = np.zeros(len(vecs), dtype=int)
         if lookup:
-            first, last = distance_zero(vecs)
+            wanted = row_keys(vecs)
+            first = np.searchsorted(keys, wanted)
+            last = np.searchsorted(keys, wanted, side="right")
         if open_rows:
             open_idx = np.flatnonzero(~taken)
             open_cols = [col[open_idx] for col in cols]
@@ -164,22 +148,20 @@ def pool_snapper(
             gone = np.empty(len(open_idx), dtype=int)  # places taken in this block
         k = 0
         rows = []
-        for vec, a, b in zip(vecs.tolist(), first.tolist(), last.tolist()):
-            if a < b and not open_rows:
-                row = int(order[a])
+        for vec, p, b in zip(vecs.tolist(), first.tolist(), last.tolist()):
+            while open_rows and p < b and taken[order[p]]:
+                p += 1
+            if p < b:
+                row = int(order[p])
+            elif open_rows:
+                dist = distances(open_cols, open_terms, vec)
+                dist[gone[:k]] = np.inf
+                at = dist.argmin()  # first minimum: lowest row
+                if dist[at] == np.inf:  # all tied at inf: the lowest open row
+                    at = taken[open_idx].argmin()
+                row = int(open_idx[at])
             else:
-                p = int(cursor[a])
-                while p < b and taken[order[p]]:
-                    p += 1
-                cursor[a] = p
-                if p < b:
-                    row = int(order[p])
-                elif open_rows:
-                    dist = distances(open_cols, open_terms, vec)
-                    dist[gone[:k]] = np.inf
-                    row = int(open_idx[dist.argmin()])  # first minimum: lowest row
-                else:
-                    row = int(distances(cols, terms, vec).argmin())
+                row = int(distances(cols, terms, vec).argmin())
             if not taken[row]:
                 taken[row] = True
                 open_rows -= 1

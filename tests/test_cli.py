@@ -201,6 +201,37 @@ class TestRunExperiment:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestProtocolInvariants:
+    """Seeded-repeat invariants of the protocol: a run depends on its
+    problem, its repeat's seed and, for random, its budget alone."""
+
+    @staticmethod
+    def experiment(problem, algorithms, **given):
+        settings = dict(repeats=2, seed=1, pool=400, pop=20, generations=5) | given
+        return run_experiment(ExperimentSpec(problem=problem, algorithms=algorithms,
+                                             **settings))
+
+    @pytest.mark.parametrize("problem", ["synth:step", "monrp:20-3-3-10-80"])
+    def test_sway_and_nsga2_ignore_the_other_algorithms(self, problem):
+        every = self.experiment(problem, list(cli.ALGORITHMS)).run_dumps
+        for algo in ("sway", "nsga2"):
+            alone = self.experiment(problem, [algo]).run_dumps
+            assert alone == {key: every[key] for key in alone}
+
+    def test_random_alone_matches_random_next_to_flash(self):
+        paired = self.experiment("synth:step", ["flash", "random"], repeats=1)
+        budget = paired.results[(0, "flash")].evals
+        alone = self.experiment("synth:step", ["random"], repeats=1, budget=budget)
+        assert alone.run_dumps[(0, "random")] == paired.run_dumps[(0, "random")]
+
+    def test_a_repeat_depends_on_its_seed_alone(self):
+        third = self.experiment("synth:step", list(cli.ALGORITHMS), repeats=3, seed=4)
+        first = self.experiment("synth:step", list(cli.ALGORITHMS), repeats=1, seed=6)
+        assert first.run_dumps == {
+            (0, algo): third.run_dumps[(2, algo)] for algo in cli.ALGORITHMS
+        }
+
+
 class TestMainRun:
     def test_end_to_end_run_and_stats(self, tmp_path, capsys):
         out = tmp_path / "results.csv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flashopt import core
 from flashopt.core import (
@@ -19,6 +20,7 @@ from flashopt.core import (
     Sense,
     load_tabular,
     min_max_scale,
+    row_keys,
 )
 from flashopt.cli import run_random
 from flashopt.flash import FlashConfig, run_flash
@@ -102,6 +104,24 @@ class TestMinMaxScale:
         lo, hi = np.array([5.0, 1.0]), np.array([5.0, 3.0])
         out = min_max_scale(np.array([[5.0, 1.0], [5.0, 3.0]]), lo, hi)
         assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+class TestRowKeys:
+    @given(st.integers(1, 30), st.integers(1, 4), st.data())
+    @settings(max_examples=200)
+    def test_equal_rows_share_a_key_and_groups_match_unique(self, n, k, data):
+        # A half-step grid with signed zeros: few values, so many equal rows.
+        x = data.draw(hnp.arrays(np.int8, (n, k), elements=st.integers(-2, 2))) / 2.0
+        x[(x == 0) & data.draw(hnp.arrays(bool, (n, k)))] = -0.0
+        keys = row_keys(x)
+        assert keys.shape == (n,)
+        equal = (x[:, None, :] == x[None, :, :]).all(axis=2)
+        assert ((keys[:, None] == keys[None, :]) == equal).all()
+        _, by_key = np.unique(keys, return_inverse=True)
+        _, by_row = np.unique(x, axis=0, return_inverse=True)
+        by_row = by_row.reshape(-1)
+        assert ((by_key[:, None] == by_key[None, :]) == equal).all()
+        assert ((by_row[:, None] == by_row[None, :]) == equal).all()
 
 
 class TestLoadTabular:

@@ -23,6 +23,9 @@ class TestReferenceFront:
     def test_duplicates_collapsed(self, min2):
         ref = reference_front([(0, 1), (0, 1), (1, 0)], min2)
         assert len(ref.points) == 2
+        # -0.0 equals 0.0, so the first of the two stands for both.
+        ref = reference_front([(-0.0, 1), (0.0, 1), (1, 0)], min2)
+        assert [str(p) for p in ref.points] == ["(-0.0, 1.0)", "(1.0, 0.0)"]
 
     def test_bounds_follow_points(self, min2):
         ref = reference_front([(0, 3), (2, 1)], min2)

@@ -267,9 +267,10 @@ def snap_cases(draw):
     rows taken beforehand; and more children than the table has rows, each
     an exact copy of a table row (duplicates included) or a point of a
     half-step grid that reaches past the table's range, so the pool runs
-    out and the snap falls back to used rows. The children come in blocks
-    of random sizes, empty ones included, so the pool may run out inside a
-    block."""
+    out and the snap falls back to used rows. Zeros in the table and the
+    children may be -0.0, which is at distance 0 from 0.0. The children
+    come in blocks of random sizes, empty ones included, so the pool may
+    run out inside a block."""
     k = draw(st.integers(1, 12))
     n = draw(st.integers(1, 40))
     table = draw(hnp.arrays(np.int8, (n, k), elements=st.integers(0, 3)))
@@ -287,6 +288,8 @@ def snap_cases(draw):
     copies = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count))
     copied = draw(hnp.arrays(bool, count))
     children = np.where(copied[:, None], table[copies], grid)
+    table[(table == 0) & draw(hnp.arrays(bool, table.shape))] = -0.0
+    children[(children == 0) & draw(hnp.arrays(bool, children.shape))] = -0.0
     cuts = sorted(draw(st.lists(st.integers(0, count), max_size=5)))
     return table, used, children, cuts
 
@@ -311,8 +314,9 @@ class TestPoolSnapper:
         assert pool_snapper(table, [])(np.array([[0.0]])).tolist() == [0]
 
     def test_keys_too_wide_for_int64_turn_the_lookup_off(self):
-        # 70 two-valued columns: a 2^70 key, whose wrap in int64 would
-        # make rows 0 and 1, which differ only in column 0, one key.
+        # 70 two-valued columns: a mixed-radix key of 2^70 values would
+        # wrap in int64 and make rows 0 and 1, which differ only in column
+        # 0, one key. Row bytes have no such limit, so the lookup serves.
         table = np.zeros((3, 70))
         table[0, 0] = table[2] = 1.0
         assert reference_snap(table, [], [table[1]]) == [1]
@@ -337,6 +341,17 @@ class TestPoolSnapper:
         with np.errstate(over="ignore"):
             assert reference_snap(table, [0], [(1e308,)]) == [0]
             assert pool_snapper(table, [0])(np.array([[1e308]])).tolist() == [1]
+
+    def test_children_past_the_float_range_take_distinct_open_rows(self):
+        # Every open distance is inf, so the first tied place is row 1,
+        # which the first child took; the second child takes open row 2.
+        table = np.array([[0.0], [1.0], [2.0]])
+        children = np.array([[1e308], [1e308]])
+        with np.errstate(over="ignore"):
+            got = pool_snapper(table, [0])(children).tolist()
+            one = pool_snapper(table, [0])
+            each = [one(child[None]).tolist()[0] for child in children]
+        assert got == each == [1, 2]
 
     def test_pool_runs_out_inside_a_block(self):
         table = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
